@@ -33,7 +33,7 @@ struct Result {
 };
 
 Result run_paper_sweep(const Options& opt, Tracer& tracer);
-Result run_serve(const Options& opt, Tracer& tracer, bool readback);
+Result run_serve(const Options& opt, Tracer& tracer);
 
 double median(std::vector<double> v);
 

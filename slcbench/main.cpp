@@ -1,7 +1,7 @@
 // The repository benchmark: one binary for all workloads.
 //
-//   slcbench --workload <paper_sweep|serve_write|serve_readback> --seed <n>
-//            --seconds <s> --trace <0|1> [--trace-dir <dir>]
+//   slcbench --workload <paper_sweep|serve_write> --seed <n> --seconds <s>
+//            --trace <0|1> [--trace-dir <dir>]
 //
 // Prints a human-readable report, one `meta` JSON line (host and engine
 // facts), and as its last line one JSON object {correct, attempted, failed,
@@ -73,7 +73,6 @@ std::vector<MetricDef> per_layer_defs() {
       {"client.late_ms_p99", "ms"},
       {"client.pooled_p99_ms", "ms"},
       {"client.mid_p50_ms", "ms"},
-      {"client.decode_busy_frac", "frac"},
       {"server.submit_us_p50", "us"},
       {"server.submit_us_p99", "us"},
       {"server.latency_p50_ms", "ms"},
@@ -114,8 +113,8 @@ std::string meta_json(const std::map<std::string, std::string>& meta) {
 
 [[noreturn]] void usage(const char* why) {
   std::fprintf(stderr,
-               "slcbench: %s\nusage: slcbench --workload <paper_sweep|serve_write|"
-               "serve_readback> --seed <n> --seconds <s> --trace <0|1> [--trace-dir <dir>]\n",
+               "slcbench: %s\nusage: slcbench --workload <paper_sweep|serve_write> --seed <n> "
+               "--seconds <s> --trace <0|1> [--trace-dir <dir>]\n",
                why);
   std::exit(2);
 }
@@ -163,9 +162,7 @@ int main(int argc, char** argv) try {
   if (opt.workload == "paper_sweep")
     res = run_paper_sweep(opt, tracer);
   else if (opt.workload == "serve_write")
-    res = run_serve(opt, tracer, false);
-  else if (opt.workload == "serve_readback")
-    res = run_serve(opt, tracer, true);
+    res = run_serve(opt, tracer);
   else
     usage(("unknown workload " + opt.workload).c_str());
 

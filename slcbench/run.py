@@ -21,7 +21,7 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-WORKLOADS = ("paper_sweep", "serve_write", "serve_readback")
+WORKLOADS = ("paper_sweep", "serve_write")
 BUILD_TIMEOUT_S = 840
 RUN_TIMEOUT_S = 175
 
