@@ -1,17 +1,17 @@
-// Software codec throughput: batched kernels vs the per-block scalar loop,
-// per scheme, on benchmark data. Not a paper figure — the paper's codecs are
+// Software codec throughput: batched kernels vs the per-block reference
+// encoders, per scheme, on benchmark data. Not a paper figure — the paper's codecs are
 // hardware — but this is the repo's perf trajectory for the batch kernels:
 // CI runs it with --json and diffs the result against a committed baseline
 // (tools/bench_compare.py), so a kernel regression fails the build.
 //
 // For every scheme three paths are timed: "scalar" is the per-block
-// virtual-dispatch loop (exactly what Compressor's default batch
-// implementation does), "batch" is the scheme's
+// reference encoder of tests/reference_codecs.cpp (the oracle the unit tests
+// compare the kernels against), "batch" is the scheme's
 // analyze_batch/compress_batch kernel pinned to the scalar sub-kernels
 // (simd::force_scalar), and "batch+simd" is the same kernel with the
 // runtime-dispatched SIMD variants enabled (identical to "batch" on hosts
 // without AVX2 — the JSON "meta" object records which variant actually
-// ran). All batch paths must agree with the scalar loop byte for byte —
+// ran). All batch paths must agree with the reference byte for byte —
 // this driver exits non-zero if they diverge, independent of the
 // equivalence unit test.
 //
@@ -28,6 +28,7 @@
 
 #include "bench_util.h"
 #include "compress/simd_dispatch.h"
+#include "reference_codecs.h"
 
 using namespace slc;
 using namespace slc::bench;
@@ -70,7 +71,7 @@ int main(int argc, char** argv) try {
     }
   }
 
-  print_banner("Codec throughput — batched kernels vs the scalar per-block loop",
+  print_banner("Codec throughput — batched kernels vs the per-block reference encoders",
                "batch-kernel perf trajectory (no paper figure)");
 
   // Tile the benchmark image to the requested stream length so every scheme
@@ -95,13 +96,14 @@ int main(int argc, char** argv) try {
   for (const std::string& scheme : schemes) {
     const auto comp = CodecRegistry::instance().create(
         scheme, codec_options_for(benchmark, kDefaultMagBytes, 16));
+    const auto reference = ref::reference_for(*comp);
 
     // --- analyze -------------------------------------------------------------
     std::vector<BlockAnalysis> scalar_a(blocks.size());
     std::vector<BlockAnalysis> batch_a(blocks.size());
     std::vector<BlockAnalysis> simd_a(blocks.size());
     const auto scalar_analyze = [&] {
-      for (size_t i = 0; i < views.size(); ++i) scalar_a[i] = comp->analyze(views[i]);
+      for (size_t i = 0; i < views.size(); ++i) scalar_a[i] = reference.analyze(views[i]);
     };
     const auto batch_analyze = [&] { comp->analyze_batch(views, batch_a.data()); };
     const auto simd_analyze = [&] { comp->analyze_batch(views, simd_a.data()); };
@@ -123,7 +125,7 @@ int main(int argc, char** argv) try {
     for (size_t i = 0; i < blocks.size() && identical; ++i)
       identical = analyses_equal(scalar_a[i], batch_a[i]) && analyses_equal(scalar_a[i], simd_a[i]);
     if (!identical) {
-      std::printf("FATAL: %s analyze_batch diverged from the scalar loop\n", scheme.c_str());
+      std::printf("FATAL: %s analyze_batch diverged from the reference\n", scheme.c_str());
       all_identical = false;
     }
 
@@ -132,7 +134,7 @@ int main(int argc, char** argv) try {
     std::vector<CompressedBlock> batch_c(blocks.size());
     std::vector<CompressedBlock> simd_c(blocks.size());
     const auto scalar_compress = [&] {
-      for (size_t i = 0; i < views.size(); ++i) scalar_c[i] = comp->compress(views[i]);
+      for (size_t i = 0; i < views.size(); ++i) scalar_c[i] = reference.compress(views[i]);
     };
     const auto batch_compress = [&] { comp->compress_batch(views, batch_c.data()); };
     const auto simd_compress = [&] { comp->compress_batch(views, simd_c.data()); };
@@ -156,7 +158,7 @@ int main(int argc, char** argv) try {
     for (size_t i = 0; i < blocks.size() && identical; ++i)
       identical = payloads_equal(scalar_c[i], batch_c[i]) && payloads_equal(scalar_c[i], simd_c[i]);
     if (!identical) {
-      std::printf("FATAL: %s compress_batch diverged from the scalar loop\n", scheme.c_str());
+      std::printf("FATAL: %s compress_batch diverged from the reference\n", scheme.c_str());
       all_identical = false;
     }
 
@@ -174,11 +176,11 @@ int main(int argc, char** argv) try {
   }
 
   std::printf("%s\n", report.table().to_string().c_str());
-  std::printf("Speedups are vs the per-block scalar loop of the same scheme, single-\n");
+  std::printf("Speedups are vs the per-block reference encoder of the same scheme, single-\n");
   std::printf("threaded on this host. \"batch\" pins the batch kernel to its scalar\n");
   std::printf("sub-kernels; \"batch+simd\" lets runtime dispatch pick (this run: %s).\n",
               simd::active_level_name());
-  std::printf("Both batch paths are verified byte-identical to the scalar loop before\n");
+  std::printf("Both batch paths are verified byte-identical to the reference before\n");
   std::printf("the table is printed.\n");
 
   if (!json_path.empty()) {

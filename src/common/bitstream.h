@@ -2,8 +2,8 @@
 //
 // Compressed GPU memory blocks are bit-packed: entropy codes (E2MC), pattern
 // prefixes (FPC/C-PACK) and headers (SLC) all have non-byte sizes. The writer
-// appends MSB-first into a growing byte buffer; the reader consumes from an
-// immutable view. MSB-first ordering matches the canonical-Huffman decode
+// appends MSB-first into a caller-sized byte buffer; the reader consumes from
+// an immutable view. MSB-first ordering matches the canonical-Huffman decode
 // convention (codewords compare as left-aligned big-endian integers).
 #pragma once
 
@@ -14,38 +14,58 @@
 
 namespace slc {
 
-/// Append-only MSB-first bit writer.
+/// Append-only MSB-first bit writer over a caller-provided buffer — the one
+/// writer every encoder emits through. Bits collect in a 64-bit register and
+/// leave as whole bytes; finish() flushes the final partial byte
+/// zero-padded. The writer never grows or bounds-checks the buffer: the
+/// batch kernels size each payload exactly before they emit (the prefix-sum
+/// scatter), and an encoder that learns its size only while emitting writes
+/// into a worst-case scratch buffer and copies out.
 class BitWriter {
  public:
-  BitWriter() = default;
+  /// Starts an empty stream at `dst`.
+  explicit BitWriter(uint8_t* dst) : dst_(dst) {}
 
   /// Appends the low `nbits` bits of `value`, most-significant bit first.
   /// `nbits` must be in [0, 64].
-  void put(uint64_t value, unsigned nbits);
+  void put(uint64_t value, unsigned nbits) {
+    if (nbits > 56) {  // split so the 64-bit accumulator cannot overflow
+      put(value >> 32, nbits - 32);
+      put(value & 0xFFFFFFFFull, 32);
+      return;
+    }
+    if (nbits == 0) return;
+    value &= (uint64_t{1} << nbits) - 1;
+    acc_ = (acc_ << nbits) | value;  // fill_ < 8 here, so fill_+nbits <= 63
+    fill_ += nbits;
+    while (fill_ >= 8) {
+      fill_ -= 8;
+      dst_[len_++] = static_cast<uint8_t>((acc_ >> fill_) & 0xFF);
+    }
+  }
 
   /// Appends a single bit.
   void put_bit(bool bit) { put(bit ? 1u : 0u, 1); }
 
   /// Number of bits written so far.
-  size_t bit_size() const { return bit_size_; }
+  size_t bit_size() const { return len_ * 8 + fill_; }
 
-  /// Size in whole bytes (rounded up).
-  size_t byte_size() const { return (bit_size_ + 7) / 8; }
-
-  /// Finishes the stream and returns the packed bytes (final partial byte is
-  /// zero-padded). The writer remains usable; this copies.
-  std::vector<uint8_t> bytes() const;
-
-  /// Overwrites `nbits` bits starting at absolute bit position `pos` with the
-  /// low `nbits` of `value`. The range must already have been written.
-  /// Used to back-patch parallel-decoding pointers once way offsets are known.
-  void patch(size_t pos, uint64_t value, unsigned nbits);
-
-  void clear();
+  /// Flushes the final partial byte (zero-padded) and returns the total
+  /// bytes written.
+  size_t finish() {
+    if (fill_) {
+      dst_[len_++] = static_cast<uint8_t>((acc_ << (8 - fill_)) & 0xFF);
+      acc_ = 0;
+      fill_ = 0;
+    }
+    return len_;
+  }
 
  private:
-  std::vector<uint8_t> buf_;
-  size_t bit_size_ = 0;
+  uint8_t* dst_;
+  size_t len_ = 0;
+  uint64_t acc_ = 0;
+  unsigned fill_ = 0;  // pending bits in the low end of acc_; < 8 between puts
 };
 
 /// MSB-first bit reader over an immutable byte span.

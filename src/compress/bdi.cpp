@@ -3,9 +3,10 @@
 #include <array>
 #include <cassert>
 #include <cstring>
+#include <stdexcept>
 
 #include "common/bitstream.h"
-#include "compress/batch_writer.h"
+#include "compress/batch_staging.h"
 #include "compress/codec_registry.h"
 #include "compress/simd_dispatch.h"
 #include "compress/simd_kernels.h"
@@ -37,52 +38,21 @@ bool fits_signed(int64_t v, size_t bytes) {
   return v >= -lim && v < lim;
 }
 
-uint64_t load_word(BlockView b, size_t i, size_t base_bytes) {
-  switch (base_bytes) {
-    case 2: return b.symbol(i);
-    case 4: return b.word32(i);
-    case 8: return b.word64(i);
-    default: assert(false); return 0;
-  }
-}
-
 const std::array<BdiEncoding, 6>& kOrder = BdiCompressor::candidate_order();
 
-// Checks whether `block` is encodable with `enc`; fills base if so.
-bool encodable(BlockView block, BdiEncoding enc, uint64_t* base_out) {
-  const Geometry g = geometry(enc);
-  const size_t n = block.size() / g.base_bytes;
-  // Base = first word that does not fit as a zero-based delta (original BDI
-  // uses the first non-immediate-representable value as the explicit base).
-  bool have_base = false;
-  uint64_t base = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t w = load_word(block, i, g.base_bytes);
-    const int64_t as_imm = sext(w, g.base_bytes);
-    if (fits_signed(as_imm, g.delta_bytes)) continue;  // zero-base delta ok
-    if (!have_base) {
-      have_base = true;
-      base = w;
-      continue;
-    }
-    const int64_t delta = sext(w - base, g.base_bytes);
-    if (!fits_signed(delta, g.delta_bytes)) return false;
-  }
-  if (base_out) *base_out = have_base ? base : 0;
-  return true;
+// The kernels read words straight off the block bytes with single
+// little-endian loads, run the zero scan on 64-bit lanes, and probe each
+// candidate once — the winning base is kept so compress never walks the
+// block a second time.
+//
+// Block sizes come from outside the program: reject what the 64-bit lanes
+// cannot cover instead of reading past the block.
+void require_whole_words(BlockView b) {
+  if (b.size() % 8 != 0)
+    throw std::invalid_argument("BDI: block size must be a multiple of 8 bytes");
 }
 
-// --- batched-kernel direct word loads --------------------------------------
-// The batch kernels read words straight off the block bytes with single
-// little-endian loads (no per-byte re-assembly), run the zero scan on 64-bit
-// lanes, and probe each candidate once — the winning base is kept so compress
-// never walks the block a second time. The scalar members above stay the
-// reference implementation the batch kernels are tested against byte for
-// byte.
-
-bool direct_applicable(BlockView b) { return b.size() % 8 == 0; }
-
-// Word `i` of width `base_bytes`, identical to load_word() on the raw bytes.
+// Word `i` of width `base_bytes`, little-endian.
 uint64_t word_at(const uint8_t* p, size_t i, size_t base_bytes) {
   switch (base_bytes) {
     case 8: return detail::load_le64(p + i * 8);
@@ -91,7 +61,11 @@ uint64_t word_at(const uint8_t* p, size_t i, size_t base_bytes) {
   }
 }
 
-bool encodable_direct(const uint8_t* p, size_t block_bytes, BdiEncoding enc,
+// Checks whether the block is encodable with `enc`; fills the base if so.
+// The base is the first word that does not fit as a zero-based delta
+// (original BDI uses the first non-immediate-representable value as the
+// explicit base).
+bool encodable(const uint8_t* p, size_t block_bytes, BdiEncoding enc,
                       uint64_t* base_out) {
   const Geometry g = geometry(enc);
   const size_t n = block_bytes / g.base_bytes;
@@ -111,9 +85,9 @@ bool encodable_direct(const uint8_t* p, size_t block_bytes, BdiEncoding enc,
   return true;
 }
 
-// best_encoding() on direct loads; additionally returns the winning base so
-// the compress kernel does not probe a second time.
-BdiEncoding probe_direct(const uint8_t* p, size_t block_bytes, uint64_t* base_out) {
+// The smallest valid encoding; additionally returns the winning base so the
+// compress kernel does not probe a second time.
+BdiEncoding probe(const uint8_t* p, size_t block_bytes, uint64_t* base_out) {
   *base_out = 0;
   const size_t n64 = block_bytes / 8;
   uint64_t acc = 0;
@@ -132,13 +106,38 @@ BdiEncoding probe_direct(const uint8_t* p, size_t block_bytes, uint64_t* base_ou
     const size_t bits = BdiCompressor::encoding_bits(enc, block_bytes);
     if (bits >= best_bits) continue;
     uint64_t base = 0;
-    if (encodable_direct(p, block_bytes, enc, &base)) {
+    if (encodable(p, block_bytes, enc, &base)) {
       best = enc;
       best_bits = bits;
       *base_out = base;
     }
   }
   return best;
+}
+
+// One block's probe: the winning encoding and base, plus the per-word
+// base-select bits when the AVX2 probe produced them.
+struct Probe {
+  BdiEncoding enc = BdiEncoding::kUncompressed;
+  uint64_t base = 0;
+  uint64_t mask = 0;
+  bool have_mask = false;
+};
+
+Probe probe_block(BlockView blk, bool use_avx2) {
+  require_whole_words(blk);
+  Probe pr;
+  const uint8_t* p = blk.bytes().data();
+  if (use_avx2 && simd::bdi_avx2_applicable(blk.size())) {
+    const simd::BdiProbe sp = simd::bdi_probe_avx2(p, blk.size());
+    pr.enc = sp.enc;
+    pr.base = sp.base;
+    pr.mask = sp.use_base_mask;
+    pr.have_mask = true;
+  } else {
+    pr.enc = probe(p, blk.size(), &pr.base);
+  }
+  return pr;
 }
 
 }  // namespace
@@ -180,84 +179,11 @@ size_t BdiCompressor::encoding_bits(BdiEncoding enc, size_t block_bytes) {
 }
 
 BdiEncoding BdiCompressor::best_encoding(BlockView block) {
-  // All-zero?
-  bool all_zero = true;
-  for (uint8_t b : block.bytes())
-    if (b != 0) { all_zero = false; break; }
-  if (all_zero) return BdiEncoding::kZeros;
-
-  // Repeated 64-bit value?
-  bool repeated = true;
-  const uint64_t first = block.word64(0);
-  for (size_t i = 1; i < block.size() / 8; ++i)
-    if (block.word64(i) != first) { repeated = false; break; }
-  if (repeated) return BdiEncoding::kRepeat64;
-
-  BdiEncoding best = BdiEncoding::kUncompressed;
-  size_t best_bits = block.size() * 8;
-  for (BdiEncoding enc : kOrder) {
-    const size_t bits = encoding_bits(enc, block.size());
-    if (bits >= best_bits) continue;
-    if (encodable(block, enc, nullptr)) {
-      best = enc;
-      best_bits = bits;
-    }
-  }
-  return best;
-}
-
-CompressedBlock BdiCompressor::compress(BlockView block) const {
-  const BdiEncoding enc = best_encoding(block);
-  CompressedBlock out;
-  BitWriter w;
-  w.put(static_cast<uint64_t>(enc), kTagBits);
-
-  switch (enc) {
-    case BdiEncoding::kUncompressed: {
-      out.is_compressed = false;
-      out.bit_size = block.size() * 8;
-      out.payload.assign(block.bytes().begin(), block.bytes().end());
-      return out;
-    }
-    case BdiEncoding::kZeros:
-      break;  // tag only
-    case BdiEncoding::kRepeat64:
-      w.put(block.word64(0), 64);
-      break;
-    default: {
-      const Geometry g = geometry(enc);
-      uint64_t base = 0;
-      const bool ok = encodable(block, enc, &base);
-      assert(ok);
-      (void)ok;
-      const size_t n = block.size() / g.base_bytes;
-      w.put(base, static_cast<unsigned>(g.base_bytes * 8));
-      // Mask: bit i set => word i uses the explicit base; clear => zero base.
-      for (size_t i = 0; i < n; ++i) {
-        const uint64_t v = load_word(block, i, g.base_bytes);
-        const bool use_zero = fits_signed(sext(v, g.base_bytes), g.delta_bytes);
-        w.put_bit(!use_zero);
-      }
-      for (size_t i = 0; i < n; ++i) {
-        const uint64_t v = load_word(block, i, g.base_bytes);
-        const bool use_zero = fits_signed(sext(v, g.base_bytes), g.delta_bytes);
-        const uint64_t delta = use_zero ? v : v - base;
-        w.put(delta, static_cast<unsigned>(g.delta_bytes * 8));
-      }
-      break;
-    }
-  }
-  out.is_compressed = true;
-  out.bit_size = w.bit_size();
-  out.payload = w.bytes();
-  assert(out.bit_size == encoding_bits(enc, block.size()));
-  return out;
+  return probe_block(block, /*use_avx2=*/false).enc;
 }
 
 Block BdiCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) const {
-  if (!cb.is_compressed) {
-    return Block(std::span<const uint8_t>(cb.payload.data(), block_bytes));
-  }
+  if (!cb.is_compressed) return raw_block(cb.payload, block_bytes);
   BitReader r(cb.payload);
   const auto enc = static_cast<BdiEncoding>(r.get(kTagBits));
   Block out(block_bytes);
@@ -295,30 +221,11 @@ Block BdiCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) c
   }
 }
 
-BlockAnalysis BdiCompressor::analyze(BlockView block) const {
-  const BdiEncoding enc = best_encoding(block);
-  BlockAnalysis a;
-  a.is_compressed = enc != BdiEncoding::kUncompressed;
-  a.bit_size = encoding_bits(enc, block.size());
-  a.lossless_bits = a.bit_size;
-  return a;
-}
-
 void BdiCompressor::analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const {
   const bool use_avx2 = simd::active_level() == simd::Level::kAvx2;
   for (size_t b = 0; b < blocks.size(); ++b) {
     const BlockView blk = blocks[b];
-    if (!direct_applicable(blk)) {
-      out[b] = analyze(blk);
-      continue;
-    }
-    BdiEncoding enc;
-    if (use_avx2 && simd::bdi_avx2_applicable(blk.size())) {
-      enc = simd::bdi_probe_avx2(blk.bytes().data(), blk.size()).enc;
-    } else {
-      uint64_t base = 0;
-      enc = probe_direct(blk.bytes().data(), blk.size(), &base);
-    }
+    const BdiEncoding enc = probe_block(blk, use_avx2).enc;
     BlockAnalysis a;
     a.is_compressed = enc != BdiEncoding::kUncompressed;
     a.bit_size = encoding_bits(enc, blk.size());
@@ -331,15 +238,8 @@ void BdiCompressor::compress_batch(std::span<const BlockView> blocks, Compressed
   // Prefix-sum payload scatter: stage 1 probes every block once (AVX2 when
   // available) and records each payload's exact byte size; the exclusive
   // prefix sum turns those into independent arena offsets; stage 2 emits
-  // each block at its own offset through a SpanBitWriter; stage 3 slices the
+  // each block at its own offset through a BitWriter; stage 3 slices the
   // arena into the per-block payloads.
-  struct Probe {
-    BdiEncoding enc = BdiEncoding::kUncompressed;
-    uint64_t base = 0;
-    uint64_t mask = 0;       // per-word base-select bits (AVX2 probe only)
-    bool have_mask = false;
-    bool direct = false;     // false => scalar compress() fallback
-  };
   const size_t n = blocks.size();
   std::vector<Probe> probes(n);
   std::vector<size_t> sizes(n), offsets(n);
@@ -347,22 +247,7 @@ void BdiCompressor::compress_batch(std::span<const BlockView> blocks, Compressed
 
   for (size_t b = 0; b < n; ++b) {
     const BlockView blk = blocks[b];
-    Probe& pr = probes[b];
-    if (!direct_applicable(blk)) {
-      sizes[b] = 0;  // handled by the scalar fallback in stage 2
-      continue;
-    }
-    pr.direct = true;
-    const uint8_t* p = blk.bytes().data();
-    if (use_avx2 && simd::bdi_avx2_applicable(blk.size())) {
-      const simd::BdiProbe sp = simd::bdi_probe_avx2(p, blk.size());
-      pr.enc = sp.enc;
-      pr.base = sp.base;
-      pr.mask = sp.use_base_mask;
-      pr.have_mask = true;
-    } else {
-      pr.enc = probe_direct(p, blk.size(), &pr.base);
-    }
+    const Probe& pr = probes[b] = probe_block(blk, use_avx2);
     sizes[b] = pr.enc == BdiEncoding::kUncompressed
                    ? blk.size()
                    : (encoding_bits(pr.enc, blk.size()) + 7) / 8;
@@ -370,21 +255,16 @@ void BdiCompressor::compress_batch(std::span<const BlockView> blocks, Compressed
 
   const size_t total = detail::exclusive_prefix_sum(sizes.data(), n, offsets.data());
   std::vector<uint8_t> arena(total);
-  detail::SpanBitWriter w;
 
   for (size_t b = 0; b < n; ++b) {
     const BlockView blk = blocks[b];
     const Probe& pr = probes[b];
-    if (!pr.direct) {
-      out[b] = compress(blk);
-      continue;
-    }
     const uint8_t* p = blk.bytes().data();
     if (pr.enc == BdiEncoding::kUncompressed) {
       std::memcpy(arena.data() + offsets[b], p, blk.size());
       continue;
     }
-    w.reset(arena.data() + offsets[b]);
+    BitWriter w(arena.data() + offsets[b]);
     w.put(static_cast<uint64_t>(pr.enc), kTagBits);
     switch (pr.enc) {
       case BdiEncoding::kZeros:
@@ -425,7 +305,6 @@ void BdiCompressor::compress_batch(std::span<const BlockView> blocks, Compressed
   }
 
   for (size_t b = 0; b < n; ++b) {
-    if (!probes[b].direct) continue;  // already filled by the fallback
     CompressedBlock cb;
     const uint8_t* slice = arena.data() + offsets[b];
     cb.is_compressed = probes[b].enc != BdiEncoding::kUncompressed;

@@ -30,15 +30,12 @@ enum class BdiEncoding : uint8_t {
 class BdiCompressor : public Compressor {
  public:
   std::string name() const override { return "BDI"; }
-  CompressedBlock compress(BlockView block) const override;
   Block decompress(const CompressedBlock& cb, size_t block_bytes) const override;
-  /// Size-only: picks the winning encoding without emitting the bit stream.
-  BlockAnalysis analyze(BlockView block) const override;
 
-  /// Batched kernels: stage each block's bytes into 64-bit lanes once and
-  /// probe every encoding from registers — no per-block byte re-assembly, no
-  /// per-block allocation (the bit writer is reused across the batch).
-  /// Byte-identical to the scalar loop.
+  /// Batch kernels: read each block's words with single little-endian loads
+  /// and probe every encoding once (AVX2 when available); analyze stops at
+  /// the winning encoding, compress emits it at its prefix-sum offset.
+  /// Block sizes must be a multiple of 8 bytes.
   using Compressor::analyze_batch;
   using Compressor::compress_batch;
   void analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const override;
@@ -59,7 +56,7 @@ class BdiCompressor : public Compressor {
   static Geometry geometry(BdiEncoding enc);
 
   /// Candidate base+delta encodings in probe order (ascending compressed
-  /// size for a 128 B block). Shared by the scalar probes and the AVX2
+  /// size for a 128 B block). Shared by the scalar probe and the AVX2
   /// kernel so the two cannot rank candidates differently.
   static const std::array<BdiEncoding, 6>& candidate_order();
 };

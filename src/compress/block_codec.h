@@ -51,8 +51,8 @@ class BlockCodec {
   /// results the per-block scalar loop would produce (out[i] belongs to
   /// blocks[i]). `safe_to_approx`/`threshold_bytes` apply to the whole span —
   /// the region-commit shape, where every block shares the region's
-  /// annotation. The base implementation *is* the scalar loop (the tested
-  /// oracle, like Compressor's batch entry points); policies override it with
+  /// annotation. The base implementation *is* the scalar loop (the oracle
+  /// the batch tests compare against); policies override it with
   /// kernels that hoist per-block setup out of the loop. Overrides must be
   /// byte-identical to the scalar loop for any input and any sub-range split
   /// (pinned by tests/test_batch_kernels.cpp) and must keep scratch in the
@@ -91,9 +91,8 @@ class LosslessBlockCodec final : public BlockCodec {
                      size_t mag_bytes = kDefaultMagBytes)
       : comp_(std::move(comp)), mag_(mag_bytes) {}
   BlockCodecResult process(BlockView block, bool, size_t) const override;
-  /// Delegates the size pass to the compressor's analyze_batch kernel, so a
-  /// scheme with a vectorized override (BDI/FPC/C-PACK/E2MC) serves region
-  /// commits at batch speed.
+  /// Delegates the size pass to the compressor's analyze_batch kernel, so
+  /// region commits run at batch speed.
   void process_batch(std::span<const BlockView> blocks, bool safe_to_approx,
                      size_t threshold_bytes, BlockCodecResult* out) const override;
   size_t mag_bytes() const override { return mag_; }

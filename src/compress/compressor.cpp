@@ -2,24 +2,21 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace slc {
 
+CompressedBlock Compressor::compress(BlockView block) const {
+  CompressedBlock out;
+  compress_batch(std::span<const BlockView>(&block, 1), &out);
+  return out;
+}
+
 BlockAnalysis Compressor::analyze(BlockView block) const {
-  const CompressedBlock cb = compress(block);
-  BlockAnalysis a;
-  a.bit_size = cb.bit_size;
-  a.is_compressed = cb.is_compressed;
-  a.lossless_bits = cb.bit_size;
-  return a;
-}
-
-void Compressor::analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const {
-  for (size_t i = 0; i < blocks.size(); ++i) out[i] = analyze(blocks[i]);
-}
-
-void Compressor::compress_batch(std::span<const BlockView> blocks, CompressedBlock* out) const {
-  for (size_t i = 0; i < blocks.size(); ++i) out[i] = compress(blocks[i]);
+  BlockAnalysis out;
+  analyze_batch(std::span<const BlockView>(&block, 1), &out);
+  return out;
 }
 
 std::vector<CompressedBlock> Compressor::compress_batch(std::span<const Block> blocks) const {
@@ -34,6 +31,13 @@ std::vector<BlockAnalysis> Compressor::analyze_batch(std::span<const Block> bloc
   const std::vector<BlockView> views = to_views(blocks);
   analyze_batch(views, out.data());
   return out;
+}
+
+Block raw_block(std::span<const uint8_t> payload, size_t block_bytes) {
+  if (payload.size() < block_bytes)
+    throw std::invalid_argument("uncompressed payload holds " + std::to_string(payload.size()) +
+                                " bytes, block needs " + std::to_string(block_bytes));
+  return Block(payload.first(block_bytes));
 }
 
 void RatioAccumulator::add(size_t original_bits, size_t compressed_bits) {

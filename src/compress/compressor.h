@@ -52,6 +52,12 @@ struct BlockAnalysis {
 };
 
 /// Abstract block compressor.
+///
+/// Each scheme implements one encoder: the batch kernels analyze_batch and
+/// compress_batch. The one-block calls compress()/analyze() run those
+/// kernels on a batch of one. The per-block reference encoders the kernels
+/// are tested against live in tests/reference_codecs.{h,cpp}, outside the
+/// library.
 class Compressor {
  public:
   virtual ~Compressor() = default;
@@ -59,44 +65,45 @@ class Compressor {
   /// Short identifier used in bench tables ("BDI", "FPC", ...).
   virtual std::string name() const = 0;
 
-  /// Compresses one block. If the scheme cannot beat the uncompressed size it
-  /// must return an uncompressed result (is_compressed = false,
-  /// bit_size = block bits).
-  virtual CompressedBlock compress(BlockView block) const = 0;
-
   /// Exact inverse of compress(). `block_bytes` is the original block size.
   virtual Block decompress(const CompressedBlock& cb, size_t block_bytes) const = 0;
 
-  /// Size-only fast path: must report exactly the sizes compress() would,
-  /// without building the bit stream. The default derives the answer from a
-  /// full compress(); every bundled scheme overrides it with a counting pass.
-  virtual BlockAnalysis analyze(BlockView block) const;
-
-  /// Convenience wrapper over analyze() — the ratio studies' common call.
-  size_t compressed_bits(BlockView block) const { return analyze(block).bit_size; }
-
   // --- batch kernels ---------------------------------------------------------
   // The CodecEngine's shards and the CodecServer's coalesced batches call the
-  // view-based virtuals below; results go into index-aligned caller slots
-  // (`out[i]` belongs to `blocks[i]`). The base implementations are the
-  // per-block scalar loop; the bundled schemes override them with batched
-  // kernels that hoist per-block setup out of the loop and reuse scratch
-  // buffers across the batch. Overrides must be byte-identical to the scalar
-  // loop for any input and any sub-range split (pinned by
-  // tests/test_batch_kernels.cpp) and must keep all scratch in the call
-  // frame: a Compressor stays immutable after construction, so concurrent
-  // shards of one batch may run the kernel on disjoint ranges.
+  // view-based kernels below; results go into index-aligned caller slots
+  // (`out[i]` belongs to `blocks[i]`). Kernels hoist per-block setup out of
+  // the loop, reuse scratch across the batch, and must give the same result
+  // for any sub-range split (pinned against the reference encoders by
+  // tests/test_batch_kernels.cpp). They keep all scratch in the call frame:
+  // a Compressor stays immutable after construction, so concurrent shards of
+  // one batch may run the kernel on disjoint ranges. A block size the scheme
+  // cannot encode throws std::invalid_argument.
 
-  /// Size-only batch kernel: fills out[0..blocks.size()) like analyze().
-  virtual void analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const;
-  /// Full-payload batch kernel: fills out[0..blocks.size()) like compress().
-  virtual void compress_batch(std::span<const BlockView> blocks, CompressedBlock* out) const;
+  /// Size-only kernel: exactly the sizes compress_batch() reports, without
+  /// building the bit streams.
+  virtual void analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const = 0;
+  /// Full-payload kernel. A block the scheme cannot shrink below its raw
+  /// size comes back uncompressed (is_compressed = false, bit_size = block
+  /// bits, payload = the raw bytes).
+  virtual void compress_batch(std::span<const BlockView> blocks, CompressedBlock* out) const = 0;
+
+  /// One block through compress_batch().
+  CompressedBlock compress(BlockView block) const;
+  /// One block through analyze_batch().
+  BlockAnalysis analyze(BlockView block) const;
+  /// analyze(block).bit_size — the ratio studies' common call.
+  size_t compressed_bits(BlockView block) const { return analyze(block).bit_size; }
 
   /// Owned-block conveniences (bench and test entry points): materialize the
-  /// views and forward to the virtual kernels above.
+  /// views and forward to the kernels above.
   std::vector<CompressedBlock> compress_batch(std::span<const Block> blocks) const;
   std::vector<BlockAnalysis> analyze_batch(std::span<const Block> blocks) const;
 };
+
+/// The stored bytes of an uncompressed block — the decoders' raw branch.
+/// Payloads reach the decoders from outside the program, so a payload
+/// shorter than `block_bytes` throws std::invalid_argument.
+Block raw_block(std::span<const uint8_t> payload, size_t block_bytes);
 
 /// Accumulates raw and effective compression ratios over a stream of blocks
 /// (per benchmark in Fig. 1). Effective size is the compressed size rounded

@@ -2,52 +2,23 @@
 
 #include <array>
 #include <cassert>
-#include <cstring>
-#include <deque>
+#include <stdexcept>
 
 #include "common/bitstream.h"
-#include "compress/batch_writer.h"
+#include "compress/batch_staging.h"
 #include "compress/codec_registry.h"
 
 namespace slc {
 
 namespace {
 
-// FIFO dictionary with fixed capacity; index 0 is the oldest entry, matching
-// the hardware's shift-register organisation.
-class FifoDict {
- public:
-  explicit FifoDict(size_t cap) : cap_(cap) {}
-
-  // Returns index of a full match or -1.
-  int find_full(uint32_t w) const {
-    for (size_t i = 0; i < entries_.size(); ++i)
-      if (entries_[i] == w) return static_cast<int>(i);
-    return -1;
-  }
-  // Returns index whose upper `bytes` bytes match, or -1.
-  int find_partial(uint32_t w, unsigned bytes) const {
-    const uint32_t mask = bytes == 3 ? 0xFFFFFF00u : 0xFFFF0000u;
-    for (size_t i = 0; i < entries_.size(); ++i)
-      if ((entries_[i] & mask) == (w & mask)) return static_cast<int>(i);
-    return -1;
-  }
-  uint32_t at(size_t i) const { return entries_[i]; }
-  void push(uint32_t w) {
-    if (entries_.size() == cap_) entries_.pop_front();
-    entries_.push_back(w);
-  }
-
- private:
-  size_t cap_;
-  std::deque<uint32_t> entries_;
-};
-
-// Same FIFO semantics as FifoDict (logical index 0 = oldest entry), but in a
-// fixed power-of-two ring buffer on the stack — no deque node churn per
-// block. Used by the batch kernels; FifoDict above stays the reference.
+// FIFO dictionary in a fixed power-of-two ring buffer on the stack; logical
+// index 0 is the oldest entry, matching the hardware's shift-register
+// organisation. The encoder and the decoder rebuild it identically.
 class RingDict {
  public:
+  static constexpr size_t kMaxEntries = 64;
+
   explicit RingDict(size_t cap) : mask_(cap - 1), cap_(cap) {}
 
   int find_full(uint32_t w) const {
@@ -62,6 +33,7 @@ class RingDict {
       if ((buf_[(start_ + i) & mask_] & mask) == key) return static_cast<int>(i);
     return -1;
   }
+  uint32_t at(size_t i) const { return buf_[(start_ + i) & mask_]; }
   void push(uint32_t w) {
     if (size_ == cap_) {
       buf_[start_] = w;  // overwrite the oldest slot; it becomes the newest
@@ -73,18 +45,12 @@ class RingDict {
   }
 
  private:
-  std::array<uint32_t, 64> buf_{};
+  std::array<uint32_t, kMaxEntries> buf_{};
   size_t mask_;
   size_t cap_;
   size_t start_ = 0;
   size_t size_ = 0;
 };
-
-// RingDict's fixed buffer caps the dictionary sizes the batch kernels cover;
-// larger dictionaries (never used in practice) take the scalar path.
-bool ring_dict_applicable(size_t block_bytes, size_t dict_entries) {
-  return detail::word_staging_applicable(block_bytes) && dict_entries <= 64;
-}
 
 constexpr unsigned prefix_bits(CpackCode c) {
   switch (c) {
@@ -107,10 +73,62 @@ constexpr uint64_t prefix_value(CpackCode c) {
   return 0;
 }
 
+// The one C-PACK encoding walk. `Sink` is detail::BitCounter (analyze) or
+// BitWriter (compress); the dictionary sees the same push sequence either
+// way.
+template <class Sink>
+void encode_words(const uint32_t* words, size_t n_words, size_t dict_entries,
+                  unsigned index_bits, Sink& w) {
+  RingDict dict(dict_entries);
+  const auto code = [&w](CpackCode c) { w.put(prefix_value(c), prefix_bits(c)); };
+  for (size_t i = 0; i < n_words; ++i) {
+    const uint32_t word = words[i];
+    if (word == 0) {
+      code(CpackCode::kZZZZ);
+      continue;
+    }
+    if ((word & 0xFFFFFF00u) == 0) {
+      code(CpackCode::kZZZX);
+      w.put(word & 0xFF, 8);
+      continue;
+    }
+    int idx = dict.find_full(word);
+    if (idx >= 0) {
+      code(CpackCode::kMMMM);
+      w.put(static_cast<uint64_t>(idx), index_bits);
+      continue;
+    }
+    idx = dict.find_partial(word, 3);
+    if (idx >= 0) {
+      code(CpackCode::kMMMX);
+      w.put(static_cast<uint64_t>(idx), index_bits);
+      w.put(word & 0xFF, 8);
+      dict.push(word);
+      continue;
+    }
+    idx = dict.find_partial(word, 2);
+    if (idx >= 0) {
+      code(CpackCode::kMMXX);
+      w.put(static_cast<uint64_t>(idx), index_bits);
+      w.put(word & 0xFFFF, 16);
+      dict.push(word);
+      continue;
+    }
+    code(CpackCode::kXXXX);
+    w.put(word, 32);
+    dict.push(word);
+  }
+}
+
+// Worst case of one staged block: every word a 34-bit kXXXX code.
+constexpr size_t kMaxPayloadBytes = (detail::kMaxStagedWords * 34 + 7) / 8;
+
 }  // namespace
 
 CpackCompressor::CpackCompressor(size_t dict_entries) : dict_entries_(dict_entries) {
-  assert(dict_entries >= 2 && (dict_entries & (dict_entries - 1)) == 0);
+  if (dict_entries < 2 || dict_entries > RingDict::kMaxEntries ||
+      (dict_entries & (dict_entries - 1)) != 0)
+    throw std::invalid_argument("C-PACK: dictionary size must be a power of two in [2, 64]");
   index_bits_ = 0;
   for (size_t v = dict_entries; v > 1; v >>= 1) ++index_bits_;
 }
@@ -127,68 +145,11 @@ unsigned CpackCompressor::code_bits(CpackCode c) const {
   return 34;
 }
 
-CompressedBlock CpackCompressor::compress(BlockView block) const {
-  const size_t n_words = block.size() / 4;
-  FifoDict dict(dict_entries_);
-  BitWriter w;
-  for (size_t i = 0; i < n_words; ++i) {
-    const uint32_t word = block.word32(i);
-    if (word == 0) {
-      w.put(prefix_value(CpackCode::kZZZZ), prefix_bits(CpackCode::kZZZZ));
-      continue;
-    }
-    if ((word & 0xFFFFFF00u) == 0) {
-      w.put(prefix_value(CpackCode::kZZZX), prefix_bits(CpackCode::kZZZX));
-      w.put(word & 0xFF, 8);
-      continue;
-    }
-    int idx = dict.find_full(word);
-    if (idx >= 0) {
-      w.put(prefix_value(CpackCode::kMMMM), prefix_bits(CpackCode::kMMMM));
-      w.put(static_cast<uint64_t>(idx), index_bits_);
-      continue;
-    }
-    idx = dict.find_partial(word, 3);
-    if (idx >= 0) {
-      w.put(prefix_value(CpackCode::kMMMX), prefix_bits(CpackCode::kMMMX));
-      w.put(static_cast<uint64_t>(idx), index_bits_);
-      w.put(word & 0xFF, 8);
-      dict.push(word);
-      continue;
-    }
-    idx = dict.find_partial(word, 2);
-    if (idx >= 0) {
-      w.put(prefix_value(CpackCode::kMMXX), prefix_bits(CpackCode::kMMXX));
-      w.put(static_cast<uint64_t>(idx), index_bits_);
-      w.put(word & 0xFFFF, 16);
-      dict.push(word);
-      continue;
-    }
-    w.put(prefix_value(CpackCode::kXXXX), prefix_bits(CpackCode::kXXXX));
-    w.put(word, 32);
-    dict.push(word);
-  }
-
-  CompressedBlock out;
-  if (w.bit_size() >= block.size() * 8) {
-    out.is_compressed = false;
-    out.bit_size = block.size() * 8;
-    out.payload.assign(block.bytes().begin(), block.bytes().end());
-  } else {
-    out.is_compressed = true;
-    out.bit_size = w.bit_size();
-    out.payload = w.bytes();
-  }
-  return out;
-}
-
 Block CpackCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) const {
-  if (!cb.is_compressed) {
-    return Block(std::span<const uint8_t>(cb.payload.data(), block_bytes));
-  }
+  if (!cb.is_compressed) return raw_block(cb.payload, block_bytes);
   Block out(block_bytes);
   BitReader r(cb.payload);
-  FifoDict dict(dict_entries_);
+  RingDict dict(dict_entries_);
   const size_t n_words = block_bytes / 4;
   for (size_t i = 0; i < n_words; ++i) {
     uint32_t word = 0;
@@ -232,74 +193,18 @@ Block CpackCompressor::decompress(const CompressedBlock& cb, size_t block_bytes)
   return out;
 }
 
-BlockAnalysis CpackCompressor::analyze(BlockView block) const {
-  // Mirror of compress(): same dictionary walk (the FIFO must see the same
-  // push sequence), summing code sizes instead of emitting bits.
-  const size_t n_words = block.size() / 4;
-  FifoDict dict(dict_entries_);
-  size_t bits = 0;
-  for (size_t i = 0; i < n_words; ++i) {
-    const uint32_t word = block.word32(i);
-    if (word == 0) {
-      bits += code_bits(CpackCode::kZZZZ);
-    } else if ((word & 0xFFFFFF00u) == 0) {
-      bits += code_bits(CpackCode::kZZZX);
-    } else if (dict.find_full(word) >= 0) {
-      bits += code_bits(CpackCode::kMMMM);
-    } else if (dict.find_partial(word, 3) >= 0) {
-      bits += code_bits(CpackCode::kMMMX);
-      dict.push(word);
-    } else if (dict.find_partial(word, 2) >= 0) {
-      bits += code_bits(CpackCode::kMMXX);
-      dict.push(word);
-    } else {
-      bits += code_bits(CpackCode::kXXXX);
-      dict.push(word);
-    }
-  }
-
-  BlockAnalysis a;
-  const size_t raw_bits = block.size() * 8;
-  a.is_compressed = bits < raw_bits;
-  a.bit_size = a.is_compressed ? bits : raw_bits;
-  a.lossless_bits = a.bit_size;
-  return a;
-}
-
 void CpackCompressor::analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const {
   uint32_t words[detail::kMaxStagedWords];
   for (size_t b = 0; b < blocks.size(); ++b) {
     const BlockView blk = blocks[b];
-    if (!ring_dict_applicable(blk.size(), dict_entries_)) {
-      out[b] = analyze(blk);
-      continue;
-    }
+    detail::require_word_staging(blk.size(), "C-PACK");
     const size_t n_words = detail::load_words_le32(blk.bytes().data(), blk.size(), words);
-    RingDict dict(dict_entries_);
-    size_t bits = 0;
-    for (size_t i = 0; i < n_words; ++i) {
-      const uint32_t word = words[i];
-      if (word == 0) {
-        bits += code_bits(CpackCode::kZZZZ);
-      } else if ((word & 0xFFFFFF00u) == 0) {
-        bits += code_bits(CpackCode::kZZZX);
-      } else if (dict.find_full(word) >= 0) {
-        bits += code_bits(CpackCode::kMMMM);
-      } else if (dict.find_partial(word, 3) >= 0) {
-        bits += code_bits(CpackCode::kMMMX);
-        dict.push(word);
-      } else if (dict.find_partial(word, 2) >= 0) {
-        bits += code_bits(CpackCode::kMMXX);
-        dict.push(word);
-      } else {
-        bits += code_bits(CpackCode::kXXXX);
-        dict.push(word);
-      }
-    }
+    detail::BitCounter counter;
+    encode_words(words, n_words, dict_entries_, index_bits_, counter);
     BlockAnalysis a;
     const size_t raw_bits = blk.size() * 8;
-    a.is_compressed = bits < raw_bits;
-    a.bit_size = a.is_compressed ? bits : raw_bits;
+    a.is_compressed = counter.bits < raw_bits;
+    a.bit_size = a.is_compressed ? counter.bits : raw_bits;
     a.lossless_bits = a.bit_size;
     out[b] = a;
   }
@@ -307,54 +212,16 @@ void CpackCompressor::analyze_batch(std::span<const BlockView> blocks, BlockAnal
 
 void CpackCompressor::compress_batch(std::span<const BlockView> blocks,
                                      CompressedBlock* out) const {
+  // The size is known only once the dictionary walk ran, so each block is
+  // emitted into a worst-case scratch buffer and copied out.
   uint32_t words[detail::kMaxStagedWords];
-  detail::BatchBitWriter w;  // reused across the batch
+  uint8_t scratch[kMaxPayloadBytes];
   for (size_t b = 0; b < blocks.size(); ++b) {
     const BlockView blk = blocks[b];
-    if (!ring_dict_applicable(blk.size(), dict_entries_)) {
-      out[b] = compress(blk);
-      continue;
-    }
+    detail::require_word_staging(blk.size(), "C-PACK");
     const size_t n_words = detail::load_words_le32(blk.bytes().data(), blk.size(), words);
-    RingDict dict(dict_entries_);
-    w.clear();
-    for (size_t i = 0; i < n_words; ++i) {
-      const uint32_t word = words[i];
-      if (word == 0) {
-        w.put(prefix_value(CpackCode::kZZZZ), prefix_bits(CpackCode::kZZZZ));
-        continue;
-      }
-      if ((word & 0xFFFFFF00u) == 0) {
-        w.put(prefix_value(CpackCode::kZZZX), prefix_bits(CpackCode::kZZZX));
-        w.put(word & 0xFF, 8);
-        continue;
-      }
-      int idx = dict.find_full(word);
-      if (idx >= 0) {
-        w.put(prefix_value(CpackCode::kMMMM), prefix_bits(CpackCode::kMMMM));
-        w.put(static_cast<uint64_t>(idx), index_bits_);
-        continue;
-      }
-      idx = dict.find_partial(word, 3);
-      if (idx >= 0) {
-        w.put(prefix_value(CpackCode::kMMMX), prefix_bits(CpackCode::kMMMX));
-        w.put(static_cast<uint64_t>(idx), index_bits_);
-        w.put(word & 0xFF, 8);
-        dict.push(word);
-        continue;
-      }
-      idx = dict.find_partial(word, 2);
-      if (idx >= 0) {
-        w.put(prefix_value(CpackCode::kMMXX), prefix_bits(CpackCode::kMMXX));
-        w.put(static_cast<uint64_t>(idx), index_bits_);
-        w.put(word & 0xFFFF, 16);
-        dict.push(word);
-        continue;
-      }
-      w.put(prefix_value(CpackCode::kXXXX), prefix_bits(CpackCode::kXXXX));
-      w.put(word, 32);
-      dict.push(word);
-    }
+    BitWriter w(scratch);
+    encode_words(words, n_words, dict_entries_, index_bits_, w);
 
     CompressedBlock cb;
     if (w.bit_size() >= blk.size() * 8) {
@@ -364,7 +231,7 @@ void CpackCompressor::compress_batch(std::span<const BlockView> blocks,
     } else {
       cb.is_compressed = true;
       cb.bit_size = w.bit_size();
-      cb.payload = w.bytes();
+      cb.payload.assign(scratch, scratch + w.finish());
     }
     out[b] = std::move(cb);
   }

@@ -21,19 +21,17 @@ enum class CpackCode : uint8_t { kZZZZ, kXXXX, kMMMM, kMMXX, kZZZX, kMMMX };
 
 class CpackCompressor : public Compressor {
  public:
-  /// `dict_entries` must be a power of two (index bits = log2).
+  /// `dict_entries` must be a power of two in [2, 64] (index bits = log2);
+  /// anything else throws std::invalid_argument.
   explicit CpackCompressor(size_t dict_entries = 16);
 
   std::string name() const override { return "C-PACK"; }
-  CompressedBlock compress(BlockView block) const override;
   Block decompress(const CompressedBlock& cb, size_t block_bytes) const override;
-  /// Size-only: runs the dictionary pass summing code bits, no bit stream.
-  BlockAnalysis analyze(BlockView block) const override;
 
-  /// Batched kernels: the FIFO dictionary lives in a fixed ring buffer on the
-  /// stack (no per-block deque churn) and words are staged once per block;
-  /// the bit writer is reused across the batch. Byte-identical to the scalar
-  /// loop.
+  /// Batch kernels: one dictionary walk per block over its staged words,
+  /// with the FIFO dictionary in a fixed ring buffer on the stack; analyze
+  /// runs the walk into a bit counter, compress into a BitWriter. Block sizes
+  /// must be a multiple of 4 bytes and at most 512 bytes.
   using Compressor::analyze_batch;
   using Compressor::compress_batch;
   void analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const override;
@@ -41,6 +39,8 @@ class CpackCompressor : public Compressor {
 
   /// Encoded bits for a code (prefix + index + literal bytes).
   unsigned code_bits(CpackCode c) const;
+
+  size_t dict_entries() const { return dict_entries_; }
 
  private:
   size_t dict_entries_;

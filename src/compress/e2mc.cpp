@@ -4,9 +4,11 @@
 #include <cassert>
 
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "common/bitstream.h"
-#include "compress/batch_writer.h"
+#include "compress/batch_staging.h"
 #include "compress/codec_registry.h"
 #include "compress/simd_dispatch.h"
 #include "compress/simd_kernels.h"
@@ -21,6 +23,14 @@ constexpr size_t kMaxStagedSymbols = 2 * detail::kMaxStagedWords;
 
 namespace {
 std::atomic<uint64_t> g_next_model_id{1};
+
+// Block sizes come from outside the program: reject a block whose symbols
+// do not split evenly into the ways.
+void require_whole_ways(size_t num_symbols, unsigned num_ways) {
+  if (num_symbols == 0 || num_symbols % num_ways != 0)
+    throw std::invalid_argument("E2MC: block symbols must split evenly into " +
+                                std::to_string(num_ways) + " ways");
+}
 }  // namespace
 
 E2mcCompressor::E2mcCompressor(HuffmanCode code, E2mcConfig cfg)
@@ -96,19 +106,7 @@ WayLayout E2mcCompressor::layout(std::span<const uint16_t> code_lens, size_t hea
   return lo;
 }
 
-BlockAnalysis E2mcCompressor::analyze(BlockView block) const {
-  const auto lens = code_lengths(block);
-  const WayLayout lo = layout(lens, header_bits(block.size()));
-  const size_t raw_bits = block.size() * 8;
-  BlockAnalysis a;
-  a.is_compressed = lo.total_bits < raw_bits;
-  a.bit_size = a.is_compressed ? lo.total_bits : raw_bits;
-  a.lossless_bits = a.bit_size;
-  return a;
-}
-
-template <class Writer>
-void E2mcCompressor::emit_ways(BlockView block, const WayLayout& lo, Writer& w) const {
+void E2mcCompressor::emit_ways(BlockView block, const WayLayout& lo, BitWriter& w) const {
   const unsigned pdp = pdp_bits(block.size());
   const size_t per_way = block.num_symbols() / cfg_.num_ways;
   // Header: pdp_i = byte offset of way i (i = 1..num_ways-1) within payload.
@@ -142,38 +140,13 @@ void E2mcCompressor::emit_ways(BlockView block, const WayLayout& lo, Writer& w) 
   }
 }
 
-CompressedBlock E2mcCompressor::compress(BlockView block) const {
-  const auto lens = code_lengths(block);
-  const WayLayout lo = layout(lens, header_bits(block.size()));
-  const size_t raw_bits = block.size() * 8;
-
-  CompressedBlock out;
-  if (lo.total_bits >= raw_bits) {
-    out.is_compressed = false;
-    out.bit_size = raw_bits;
-    out.payload.assign(block.bytes().begin(), block.bytes().end());
-    return out;
-  }
-
-  BitWriter w;
-  emit_ways(block, lo, w);
-  out.is_compressed = true;
-  out.bit_size = w.bit_size();
-  assert(out.bit_size == lo.total_bits);
-  out.payload = w.bytes();
-  return out;
-}
-
 void E2mcCompressor::analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const {
   const bool use_avx2 = simd::active_level() == simd::Level::kAvx2;
   for (size_t b = 0; b < blocks.size(); ++b) {
     const BlockView blk = blocks[b];
     const size_t n = blk.num_symbols();
+    require_whole_ways(n, cfg_.num_ways);
     const size_t per_way = n / cfg_.num_ways;
-    if (per_way == 0 || n % cfg_.num_ways != 0) {
-      out[b] = analyze(blk);  // degenerate geometry: scalar reference path
-      continue;
-    }
     // layout() without the per-block lengths vector: sum encoded bits per
     // way directly off the code-length table (8-lane gathers when AVX2 is
     // active; identical values either way).
@@ -208,51 +181,38 @@ void E2mcCompressor::analyze_batch(std::span<const BlockView> blocks, BlockAnaly
 
 void E2mcCompressor::compress_batch(std::span<const BlockView> blocks,
                                     CompressedBlock* out) const {
-  // Prefix-sum payload scatter: stage 1 runs the code-length probe (8-lane
-  // gathers when AVX2 is active) and the way layout per block, giving each
-  // payload's exact byte size; the exclusive prefix sum turns those into
-  // independent arena offsets; stage 2 emits via emit_ways at each offset;
-  // stage 3 slices the arena into the per-block payloads.
+  // Prefix-sum payload scatter: stage 1 stages every block's code lengths in
+  // one probe (8-lane gathers when AVX2 is active) and lays out the ways per
+  // block, giving each payload's exact byte size; the exclusive prefix sum
+  // turns those into independent arena offsets; stage 2 emits via emit_ways
+  // at each offset; stage 3 slices the arena into the per-block payloads.
   const size_t n_blocks = blocks.size();
-  std::vector<uint16_t> lens;  // scratch, reused across the batch
+  for (const BlockView blk : blocks) require_whole_ways(blk.num_symbols(), cfg_.num_ways);
+  std::vector<uint16_t> lens;
+  std::vector<size_t> lens_off;
+  code_lengths_batch(blocks, lens, lens_off);
   std::vector<WayLayout> layouts(n_blocks);
   std::vector<size_t> sizes(n_blocks, 0), offsets(n_blocks, 0);
-  std::vector<uint8_t> direct(n_blocks, 0);
-  const bool use_avx2 = simd::active_level() == simd::Level::kAvx2;
 
   for (size_t b = 0; b < n_blocks; ++b) {
     const BlockView blk = blocks[b];
-    const size_t n = blk.num_symbols();
-    if (n == 0 || n % cfg_.num_ways != 0) continue;  // stage-2 scalar fallback
-    direct[b] = 1;
-    lens.resize(n);
-    const uint8_t* p = blk.bytes().data();
-    if (use_avx2) {
-      simd::e2mc_code_lengths_avx2(p, n, code_.encoded_bits_table(), lens.data());
-    } else {
-      for (size_t i = 0; i < n; ++i)
-        lens[i] = static_cast<uint16_t>(code_.encoded_bits(detail::load_le16(p + 2 * i)));
-    }
-    layouts[b] = layout(lens, header_bits(blk.size()));
+    layouts[b] = layout(std::span<const uint16_t>(lens).subspan(
+                            lens_off[b], lens_off[b + 1] - lens_off[b]),
+                        header_bits(blk.size()));
     sizes[b] =
         layouts[b].total_bits < blk.size() * 8 ? layouts[b].total_bits / 8 : blk.size();
   }
 
   const size_t total = detail::exclusive_prefix_sum(sizes.data(), n_blocks, offsets.data());
   std::vector<uint8_t> arena(total);
-  detail::SpanBitWriter w;
 
   for (size_t b = 0; b < n_blocks; ++b) {
     const BlockView blk = blocks[b];
-    if (!direct[b]) {
-      out[b] = compress(blk);  // degenerate geometry: scalar reference path
-      continue;
-    }
     if (layouts[b].total_bits >= blk.size() * 8) {  // stored raw
       std::memcpy(arena.data() + offsets[b], blk.bytes().data(), blk.size());
       continue;
     }
-    w.reset(arena.data() + offsets[b]);
+    BitWriter w(arena.data() + offsets[b]);
     emit_ways(blk, layouts[b], w);
     assert(w.bit_size() == layouts[b].total_bits);
     const size_t written = w.finish();
@@ -261,7 +221,6 @@ void E2mcCompressor::compress_batch(std::span<const BlockView> blocks,
   }
 
   for (size_t b = 0; b < n_blocks; ++b) {
-    if (!direct[b]) continue;
     const BlockView blk = blocks[b];
     CompressedBlock cb;
     const uint8_t* slice = arena.data() + offsets[b];
@@ -273,9 +232,7 @@ void E2mcCompressor::compress_batch(std::span<const BlockView> blocks,
 }
 
 Block E2mcCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) const {
-  if (!cb.is_compressed) {
-    return Block(std::span<const uint8_t>(cb.payload.data(), block_bytes));
-  }
+  if (!cb.is_compressed) return raw_block(cb.payload, block_bytes);
   const unsigned pdp = pdp_bits(block_bytes);
   const size_t n_sym = block_bytes * 8 / kSymbolBits;
   const size_t per_way = n_sym / cfg_.num_ways;

@@ -17,6 +17,8 @@
 
 namespace slc {
 
+class BitWriter;
+
 /// E2MC configuration knobs (defaults = paper's best configuration).
 struct E2mcConfig {
   size_t table_entries = 1024;  ///< symbols with dedicated codewords
@@ -44,14 +46,12 @@ class E2mcCompressor : public Compressor {
                                                E2mcConfig cfg = {});
 
   std::string name() const override { return "E2MC"; }
-  CompressedBlock compress(BlockView block) const override;
   Block decompress(const CompressedBlock& cb, size_t block_bytes) const override;
-  /// Size-only: sums code lengths through the way layout, no bit stream.
-  BlockAnalysis analyze(BlockView block) const override;
 
-  /// Batched kernels: per-way code-length accumulation without the per-block
-  /// lengths vector (analyze) and a scratch writer reused across the batch
-  /// (compress). Byte-identical to the scalar loop.
+  /// Batch kernels: per-way code-length sums off the length table (8-lane
+  /// gathers when AVX2 is active); compress lays out the ways and emits each
+  /// block at its prefix-sum offset. A block's symbol count must split
+  /// evenly into the configured ways.
   using Compressor::analyze_batch;
   using Compressor::compress_batch;
   void analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const override;
@@ -101,12 +101,8 @@ class E2mcCompressor : public Compressor {
 
  private:
   /// Writes the pdp header and the byte-aligned ways of `block` into `w`
-  /// (which must be empty) according to `lo` — the one emitter the scalar
-  /// compress() (BitWriter) and the batch/scatter kernels
-  /// (detail::SpanBitWriter) go through, so their payloads cannot drift
-  /// apart. Defined in e2mc.cpp; all instantiations live there.
-  template <class Writer>
-  void emit_ways(BlockView block, const WayLayout& lo, Writer& w) const;
+  /// (which must be empty) according to `lo`.
+  void emit_ways(BlockView block, const WayLayout& lo, BitWriter& w) const;
 
   HuffmanCode code_;
   E2mcConfig cfg_;

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "common/bitstream.h"
-#include "compress/batch_writer.h"
+#include "compress/batch_staging.h"
 #include "compress/codec_registry.h"
 #include "compress/simd_dispatch.h"
 #include "compress/simd_kernels.h"
@@ -39,61 +39,39 @@ void classify_words(const uint8_t* p, size_t n_words, uint8_t* cls, bool use_avx
   }
 }
 
-// Exact compressed size implied by a classification — the same walk
-// compress() does, summing instead of emitting.
-size_t bits_from_classes(const uint8_t* cls, size_t n_words) {
-  size_t bits = 0;
+// The one FPC encoding walk, driven by precomputed classes; words are read
+// straight off the block bytes. `Sink` is detail::BitCounter (sizing) or
+// BitWriter (emission). Branch-free per word apart from zero runs, so the
+// sizing pass reduces to a prefix + payload_bits() sum.
+template <class Sink>
+void encode_classes(const uint8_t* p, size_t n_words, const uint8_t* cls, Sink& w) {
   size_t i = 0;
   while (i < n_words) {
-    if (cls[i] == static_cast<uint8_t>(FpcPattern::kZeroRun)) {
+    const auto pat = static_cast<FpcPattern>(cls[i]);
+    w.put(cls[i], kPrefixBits);
+    if (pat == FpcPattern::kZeroRun) {
       size_t run = 1;
-      while (i + run < n_words && run < kMaxZeroRun &&
-             cls[i + run] == static_cast<uint8_t>(FpcPattern::kZeroRun))
-        ++run;
-      bits += kPrefixBits + FpcCompressor::payload_bits(FpcPattern::kZeroRun);
+      while (i + run < n_words && run < kMaxZeroRun && cls[i + run] == cls[i]) ++run;
+      w.put(run - 1, FpcCompressor::payload_bits(pat));
       i += run;
       continue;
     }
-    bits += kPrefixBits + FpcCompressor::payload_bits(static_cast<FpcPattern>(cls[i]));
+    // put() keeps the low payload_bits() bits, so the sign-extended, repeated
+    // and verbatim patterns pass the word whole.
+    const uint32_t word = detail::load_le32(p + 4 * i);
+    uint32_t payload = word;
+    if (pat == FpcPattern::kHalfwordPadded) payload = word >> 16;
+    if (pat == FpcPattern::kTwoHalfwordsSE) payload = ((word >> 8) & 0xFF00u) | (word & 0xFFu);
+    w.put(payload, FpcCompressor::payload_bits(pat));
     ++i;
   }
-  return bits;
 }
 
-// compress()'s emission loop driven by precomputed classes; words are read
-// straight off the block bytes. Byte-identical stream to the scalar walk.
-template <class Writer>
-void emit_from_classes(const uint8_t* p, size_t n_words, const uint8_t* cls, Writer& w) {
-  size_t i = 0;
-  while (i < n_words) {
-    if (cls[i] == static_cast<uint8_t>(FpcPattern::kZeroRun)) {
-      size_t run = 1;
-      while (i + run < n_words && run < kMaxZeroRun &&
-             cls[i + run] == static_cast<uint8_t>(FpcPattern::kZeroRun))
-        ++run;
-      w.put(static_cast<uint64_t>(FpcPattern::kZeroRun), kPrefixBits);
-      w.put(run - 1, 3);
-      i += run;
-      continue;
-    }
-    const uint32_t word = detail::load_le32(p + 4 * i);
-    const auto pat = static_cast<FpcPattern>(cls[i]);
-    w.put(static_cast<uint64_t>(pat), kPrefixBits);
-    switch (pat) {
-      case FpcPattern::kSignExt4: w.put(word & 0xF, 4); break;
-      case FpcPattern::kSignExt8: w.put(word & 0xFF, 8); break;
-      case FpcPattern::kSignExt16: w.put(word & 0xFFFF, 16); break;
-      case FpcPattern::kHalfwordPadded: w.put(word >> 16, 16); break;
-      case FpcPattern::kTwoHalfwordsSE:
-        w.put((word >> 16) & 0xFF, 8);
-        w.put(word & 0xFF, 8);
-        break;
-      case FpcPattern::kRepeatedBytes: w.put(word & 0xFF, 8); break;
-      case FpcPattern::kUncompressed: w.put(word, 32); break;
-      case FpcPattern::kZeroRun: assert(false); break;
-    }
-    ++i;
-  }
+// Exact compressed size of a classified block.
+size_t bits_from_classes(const uint8_t* p, size_t n_words, const uint8_t* cls) {
+  detail::BitCounter counter;
+  encode_classes(p, n_words, cls, counter);
+  return counter.bits;
 }
 
 }  // namespace
@@ -133,55 +111,8 @@ unsigned FpcCompressor::payload_bits(FpcPattern p) {
   return 32;
 }
 
-CompressedBlock FpcCompressor::compress(BlockView block) const {
-  const size_t n_words = block.size() / 4;
-  BitWriter w;
-  size_t i = 0;
-  while (i < n_words) {
-    const uint32_t word = block.word32(i);
-    if (word == 0) {
-      size_t run = 1;
-      while (i + run < n_words && run < kMaxZeroRun && block.word32(i + run) == 0) ++run;
-      w.put(static_cast<uint64_t>(FpcPattern::kZeroRun), kPrefixBits);
-      w.put(run - 1, 3);
-      i += run;
-      continue;
-    }
-    const FpcPattern p = classify(word);
-    w.put(static_cast<uint64_t>(p), kPrefixBits);
-    switch (p) {
-      case FpcPattern::kSignExt4: w.put(word & 0xF, 4); break;
-      case FpcPattern::kSignExt8: w.put(word & 0xFF, 8); break;
-      case FpcPattern::kSignExt16: w.put(word & 0xFFFF, 16); break;
-      case FpcPattern::kHalfwordPadded: w.put(word >> 16, 16); break;
-      case FpcPattern::kTwoHalfwordsSE:
-        w.put((word >> 16) & 0xFF, 8);
-        w.put(word & 0xFF, 8);
-        break;
-      case FpcPattern::kRepeatedBytes: w.put(word & 0xFF, 8); break;
-      case FpcPattern::kUncompressed: w.put(word, 32); break;
-      case FpcPattern::kZeroRun: assert(false); break;
-    }
-    ++i;
-  }
-
-  CompressedBlock out;
-  if (w.bit_size() >= block.size() * 8) {
-    out.is_compressed = false;
-    out.bit_size = block.size() * 8;
-    out.payload.assign(block.bytes().begin(), block.bytes().end());
-  } else {
-    out.is_compressed = true;
-    out.bit_size = w.bit_size();
-    out.payload = w.bytes();
-  }
-  return out;
-}
-
 Block FpcCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) const {
-  if (!cb.is_compressed) {
-    return Block(std::span<const uint8_t>(cb.payload.data(), block_bytes));
-  }
+  if (!cb.is_compressed) return raw_block(cb.payload, block_bytes);
   Block out(block_bytes);
   BitReader r(cb.payload);
   const size_t n_words = block_bytes / 4;
@@ -235,44 +166,15 @@ Block FpcCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) c
   return out;
 }
 
-BlockAnalysis FpcCompressor::analyze(BlockView block) const {
-  // Mirror of compress(): the same word walk, summing sizes instead of
-  // emitting bits.
-  const size_t n_words = block.size() / 4;
-  size_t bits = 0;
-  size_t i = 0;
-  while (i < n_words) {
-    if (block.word32(i) == 0) {
-      size_t run = 1;
-      while (i + run < n_words && run < kMaxZeroRun && block.word32(i + run) == 0) ++run;
-      bits += kPrefixBits + payload_bits(FpcPattern::kZeroRun);
-      i += run;
-      continue;
-    }
-    bits += kPrefixBits + payload_bits(classify(block.word32(i)));
-    ++i;
-  }
-
-  BlockAnalysis a;
-  const size_t raw_bits = block.size() * 8;
-  a.is_compressed = bits < raw_bits;
-  a.bit_size = a.is_compressed ? bits : raw_bits;
-  a.lossless_bits = a.bit_size;
-  return a;
-}
-
 void FpcCompressor::analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const {
   uint8_t cls[detail::kMaxStagedWords];
   const bool use_avx2 = simd::active_level() == simd::Level::kAvx2;
   for (size_t b = 0; b < blocks.size(); ++b) {
     const BlockView blk = blocks[b];
-    if (!detail::word_staging_applicable(blk.size())) {
-      out[b] = analyze(blk);
-      continue;
-    }
+    detail::require_word_staging(blk.size(), "FPC");
     const size_t n_words = blk.size() / 4;
     classify_words(blk.bytes().data(), n_words, cls, use_avx2);
-    const size_t bits = bits_from_classes(cls, n_words);
+    const size_t bits = bits_from_classes(blk.bytes().data(), n_words, cls);
     BlockAnalysis a;
     const size_t raw_bits = blk.size() * 8;
     a.is_compressed = bits < raw_bits;
@@ -293,40 +195,34 @@ void FpcCompressor::compress_batch(std::span<const BlockView> blocks, Compressed
   const bool use_avx2 = simd::active_level() == simd::Level::kAvx2;
 
   size_t total_words = 0;
-  for (size_t b = 0; b < n; ++b)
-    if (detail::word_staging_applicable(blocks[b].size())) {
-      cls_off[b] = total_words;
-      total_words += blocks[b].size() / 4;
-    }
+  for (size_t b = 0; b < n; ++b) {
+    detail::require_word_staging(blocks[b].size(), "FPC");
+    cls_off[b] = total_words;
+    total_words += blocks[b].size() / 4;
+  }
   cls_all.resize(total_words);
 
   for (size_t b = 0; b < n; ++b) {
     const BlockView blk = blocks[b];
-    if (!detail::word_staging_applicable(blk.size())) continue;  // stage-2 fallback
     const size_t n_words = blk.size() / 4;
     uint8_t* cls = cls_all.data() + cls_off[b];
     classify_words(blk.bytes().data(), n_words, cls, use_avx2);
-    bits[b] = bits_from_classes(cls, n_words);
+    bits[b] = bits_from_classes(blk.bytes().data(), n_words, cls);
     sizes[b] = bits[b] < blk.size() * 8 ? (bits[b] + 7) / 8 : blk.size();
   }
 
   const size_t total = detail::exclusive_prefix_sum(sizes.data(), n, offsets.data());
   std::vector<uint8_t> arena(total);
-  detail::SpanBitWriter w;
 
   for (size_t b = 0; b < n; ++b) {
     const BlockView blk = blocks[b];
-    if (!detail::word_staging_applicable(blk.size())) {
-      out[b] = compress(blk);
-      continue;
-    }
     const uint8_t* p = blk.bytes().data();
     if (bits[b] >= blk.size() * 8) {  // stored raw
       std::memcpy(arena.data() + offsets[b], p, blk.size());
       continue;
     }
-    w.reset(arena.data() + offsets[b]);
-    emit_from_classes(p, blk.size() / 4, cls_all.data() + cls_off[b], w);
+    BitWriter w(arena.data() + offsets[b]);
+    encode_classes(p, blk.size() / 4, cls_all.data() + cls_off[b], w);
     assert(w.bit_size() == bits[b]);
     const size_t written = w.finish();
     assert(written == sizes[b]);
@@ -335,7 +231,6 @@ void FpcCompressor::compress_batch(std::span<const BlockView> blocks, Compressed
 
   for (size_t b = 0; b < n; ++b) {
     const BlockView blk = blocks[b];
-    if (!detail::word_staging_applicable(blk.size())) continue;
     CompressedBlock cb;
     const uint8_t* slice = arena.data() + offsets[b];
     cb.is_compressed = bits[b] < blk.size() * 8;

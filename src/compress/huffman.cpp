@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "common/bitstream.h"
+#include "compress/batch_staging.h"
 #include "compress/codec_registry.h"
 #include "compress/e2mc.h"
 
@@ -204,50 +205,67 @@ std::shared_ptr<HuffmanCompressor> HuffmanCompressor::train(std::span<const uint
   return std::make_shared<HuffmanCompressor>(HuffmanCode::build(freqs, max_entries, max_len));
 }
 
-BlockAnalysis HuffmanCompressor::analyze(BlockView block) const {
-  const size_t n = block.num_symbols();
+namespace {
+// Summed encoded bits of every symbol of `block`.
+size_t code_bits(const HuffmanCode& code, BlockView block) {
+  const uint8_t* p = block.bytes().data();
   size_t bits = 0;
-  for (size_t i = 0; i < n; ++i) bits += code_.encoded_bits(block.symbol(i));
+  for (size_t i = 0; i < block.num_symbols(); ++i)
+    bits += code.encoded_bits(detail::load_le16(p + 2 * i));
+  return bits;
+}
+}  // namespace
 
-  BlockAnalysis a;
-  const size_t raw_bits = block.size() * 8;
-  a.is_compressed = bits < raw_bits;
-  a.bit_size = a.is_compressed ? bits : raw_bits;
-  a.lossless_bits = a.bit_size;
-  return a;
+void HuffmanCompressor::analyze_batch(std::span<const BlockView> blocks,
+                                      BlockAnalysis* out) const {
+  for (size_t b = 0; b < blocks.size(); ++b) {
+    const size_t bits = code_bits(code_, blocks[b]);
+    const size_t raw_bits = blocks[b].size() * 8;
+    BlockAnalysis a;
+    a.is_compressed = bits < raw_bits;
+    a.bit_size = a.is_compressed ? bits : raw_bits;
+    a.lossless_bits = a.bit_size;
+    out[b] = a;
+  }
 }
 
-CompressedBlock HuffmanCompressor::compress(BlockView block) const {
-  const BlockAnalysis a = analyze(block);
-  CompressedBlock out;
-  if (!a.is_compressed) {
-    out.is_compressed = false;
-    out.bit_size = block.size() * 8;
-    out.payload.assign(block.bytes().begin(), block.bytes().end());
-    return out;
-  }
-  BitWriter w;
-  const size_t n = block.num_symbols();
-  for (size_t i = 0; i < n; ++i) {
-    const uint16_t sym = block.symbol(i);
-    if (code_.in_table(sym)) {
-      w.put(code_.codeword(sym), code_.codeword_len(sym));
-    } else {
-      w.put(code_.esc_code(), code_.esc_len());
-      w.put(sym, kSymbolBits);
+void HuffmanCompressor::compress_batch(std::span<const BlockView> blocks,
+                                       CompressedBlock* out) const {
+  // The summed code lengths give each payload's exact size before emission,
+  // so every block writes straight into its own payload buffer.
+  for (size_t b = 0; b < blocks.size(); ++b) {
+    const BlockView blk = blocks[b];
+    const size_t bits = code_bits(code_, blk);
+    CompressedBlock cb;
+    if (bits >= blk.size() * 8) {
+      cb.is_compressed = false;
+      cb.bit_size = blk.size() * 8;
+      cb.payload.assign(blk.bytes().begin(), blk.bytes().end());
+      out[b] = std::move(cb);
+      continue;
     }
+    cb.payload.resize((bits + 7) / 8);
+    BitWriter w(cb.payload.data());
+    const uint8_t* p = blk.bytes().data();
+    for (size_t i = 0; i < blk.num_symbols(); ++i) {
+      const uint16_t sym = detail::load_le16(p + 2 * i);
+      if (code_.in_table(sym)) {
+        w.put(code_.codeword(sym), code_.codeword_len(sym));
+      } else {
+        w.put(code_.esc_code(), code_.esc_len());
+        w.put(sym, kSymbolBits);
+      }
+    }
+    assert(w.bit_size() == bits);
+    w.finish();
+    cb.is_compressed = true;
+    cb.bit_size = bits;
+    out[b] = std::move(cb);
   }
-  out.is_compressed = true;
-  out.bit_size = w.bit_size();
-  assert(out.bit_size == a.bit_size);
-  out.payload = w.bytes();
-  return out;
 }
 
 Block HuffmanCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) const {
-  if (!cb.is_compressed) {
-    return Block(std::span<const uint8_t>(cb.payload.data(), block_bytes));
-  }
+  if (!cb.is_compressed) return raw_block(cb.payload, block_bytes);
   Block out(block_bytes);
   BitReader r(cb.payload);
   const size_t n_sym = block_bytes * 8 / kSymbolBits;

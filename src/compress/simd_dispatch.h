@@ -8,9 +8,9 @@
 // keeps both paths green), and expose a programmatic override so tests and
 // benches can measure scalar-vs-SIMD in one process without re-exec.
 //
-// The scalar kernels are always compiled and remain the tested oracle; a
-// SIMD variant must be byte-identical to them for any input (pinned by
-// tests/test_batch_kernels.cpp under both dispatch settings). Hosts or
+// The scalar kernels are always compiled; both variants must be
+// byte-identical to the per-block reference encoders for any input (pinned
+// by tests/test_batch_kernels.cpp under both dispatch settings). Hosts or
 // builds without AVX2 simply never leave Level::kScalar — there is no
 // correctness fallback to get wrong, only a speed difference.
 #pragma once

@@ -3,7 +3,7 @@
 // These are the vector halves of the batch kernels in bdi/fpc/e2mc.cpp:
 // the scheme files call them only when simd::active_level() == kAvx2 and the
 // block geometry fits the kernel's tile shape, so every declaration here has
-// a scalar twin that remains the tested oracle. The implementations live in
+// a scalar twin in the scheme file. The implementations live in
 // simd_avx2.cpp, the one translation unit built with -mavx2; in builds
 // without SLC_HAVE_AVX2_KERNELS the dispatcher never selects kAvx2 and the
 // inline stubs below keep the scheme files link-clean without a single

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "common/bitstream.h"
-#include "compress/batch_writer.h"
+#include "compress/batch_staging.h"
 #include "core/fingerprint_cache.h"
 
 namespace slc {
@@ -64,10 +64,9 @@ size_t SlcCodec::header_bits(size_t block_bytes) const {
   return SlcHeader::bits(block_bytes, lossless_->config().num_ways, n_sym);
 }
 
-template <class Writer>
 size_t SlcCodec::encode_into(BlockView block, const SlcHeader& hdr,
                              std::span<const uint16_t> lens, size_t skip_start,
-                             size_t skip_count, Writer& w) const {
+                             size_t skip_count, BitWriter& w) const {
   const unsigned num_ways = lossless_->config().num_ways;
   const size_t n_sym = block.num_symbols();
   const size_t per_way = n_sym / num_ways;
@@ -103,18 +102,6 @@ size_t SlcCodec::encode_into(BlockView block, const SlcHeader& hdr,
   }
   assert(w.bit_size() == lo.total_bits);
   return lo.total_bits;
-}
-
-CompressedBlock SlcCodec::encode(BlockView block, const SlcHeader& hdr,
-                                 std::span<const uint16_t> lens, size_t skip_start,
-                                 size_t skip_count) const {
-  BitWriter w;
-  const size_t total_bits = encode_into(block, hdr, lens, skip_start, skip_count, w);
-  CompressedBlock out;
-  out.is_compressed = true;
-  out.bit_size = total_bits;
-  out.payload = w.bytes();
-  return out;
 }
 
 SlcCodec::Decision SlcCodec::decide(std::span<const uint16_t> lens,
@@ -195,12 +182,9 @@ SlcCodec::Decision SlcCodec::decide(std::span<const uint16_t> lens,
 }
 
 SlcEncodeInfo SlcCodec::analyze(BlockView block) const {
-  CacheOutcome oc;
-  return analyze(block, oc);
-}
-
-SlcEncodeInfo SlcCodec::analyze(BlockView block, CacheOutcome& oc) const {
-  return decide_cached(block, oc).info;
+  SlcEncodeInfo out;
+  analyze_batch(std::span<const BlockView>(&block, 1), &out);
+  return out;
 }
 
 SlcCodec::Decision SlcCodec::decide_cached(BlockView block, CacheOutcome& oc) const {
@@ -320,28 +304,8 @@ void SlcCodec::analyze_batch(std::span<const BlockView> blocks, SlcEncodeInfo* o
 }
 
 SlcCompressedBlock SlcCodec::compress(BlockView block) const {
-  const auto lens = lossless_->code_lengths(block);
-  return compress_decided(block, decide(lens, block.size()), lens);
-}
-
-SlcCompressedBlock SlcCodec::compress_decided(BlockView block, const Decision& d,
-                                              std::span<const uint16_t> lens) const {
   SlcCompressedBlock out;
-  out.info = d.info;
-  if (d.info.stored_uncompressed) {
-    out.data.is_compressed = false;
-    out.data.bit_size = block.size() * 8;
-    out.data.payload.assign(block.bytes().begin(), block.bytes().end());
-    return out;
-  }
-  SlcHeader hdr;
-  hdr.lossy = d.info.lossy;
-  hdr.start_symbol = static_cast<uint8_t>(d.skip_start);
-  hdr.approx_count = static_cast<uint8_t>(d.info.lossy ? d.skip_count : 0);
-  out.data = encode(block, hdr, lens, d.skip_start, d.skip_count);
-  assert(out.data.bit_size == d.info.final_bits);
-  assert(!d.info.lossy ||
-         out.data.bit_size <= d.info.bursts * cfg_.mag_bytes * 8);
+  compress_batch(std::span<const BlockView>(&block, 1), &out);
   return out;
 }
 
@@ -363,7 +327,6 @@ void SlcCodec::compress_batch(std::span<const BlockView> blocks, SlcCompressedBl
   }
   const size_t total = detail::exclusive_prefix_sum(sizes.data(), n, offsets.data());
   std::vector<uint8_t> arena(total);
-  detail::SpanBitWriter w;
 
   for (size_t b = 0; b < n; ++b) {
     const BlockView blk = blocks[b];
@@ -376,10 +339,11 @@ void SlcCodec::compress_batch(std::span<const BlockView> blocks, SlcCompressedBl
     hdr.lossy = d.info.lossy;
     hdr.start_symbol = static_cast<uint8_t>(d.skip_start);
     hdr.approx_count = static_cast<uint8_t>(d.info.lossy ? d.skip_count : 0);
-    w.reset(arena.data() + offsets[b]);
+    BitWriter w(arena.data() + offsets[b]);
     const size_t bits =
         encode_into(blk, hdr, scratch.block_lens(b), d.skip_start, d.skip_count, w);
     assert(bits == d.info.final_bits);
+    assert(!d.info.lossy || bits <= d.info.bursts * cfg_.mag_bytes * 8);
     (void)bits;
     const size_t written = w.finish();
     assert(written == sizes[b]);
@@ -399,9 +363,7 @@ void SlcCodec::compress_batch(std::span<const BlockView> blocks, SlcCompressedBl
 }
 
 Block SlcCodec::decompress(const SlcCompressedBlock& cb, size_t block_bytes) const {
-  if (!cb.data.is_compressed) {
-    return Block(std::span<const uint8_t>(cb.data.payload.data(), block_bytes));
-  }
+  if (!cb.data.is_compressed) return raw_block(cb.data.payload, block_bytes);
   const unsigned num_ways = lossless_->config().num_ways;
   const size_t n_sym = block_bytes * 8 / kSymbolBits;
   const size_t per_way = n_sym / num_ways;

@@ -66,22 +66,22 @@ class SlcCodec {
  public:
   SlcCodec(std::shared_ptr<const E2mcCompressor> lossless, SlcConfig cfg);
 
-  /// Compresses one block per the Fig. 4 decision flow.
+  /// Compresses one block per the Fig. 4 decision flow: compress_batch()
+  /// on a batch of one.
   SlcCompressedBlock compress(BlockView block) const;
 
-  /// Size-only fast path: the full Fig. 4 decision (budget, threshold, tree
-  /// selection) without building the bit stream. Exactly the sizes/bursts
-  /// compress() would report — the simulator's common case, since only lossy
-  /// blocks need their payload materialized. Served from the fingerprint
-  /// memo when cfg.cache is set (see below).
+  /// Size-only: the full Fig. 4 decision (budget, threshold, tree selection)
+  /// without building the bit stream — analyze_batch() on a batch of one.
+  /// Exactly the sizes/bursts compress() would report. Served from the
+  /// fingerprint memo when cfg.cache is set (see below).
   SlcEncodeInfo analyze(BlockView block) const;
 
   // --- batched mode decision -------------------------------------------------
   // The decision layer's batch kernel, feeding BlockCodec::process_batch and
   // SlcCompressor::analyze_batch: one staged E2MC length probe for the whole
   // span, then the Fig. 4 decide() pass per block over the staged lengths.
-  // Results are byte-identical to analyze()/compress() per block; all scratch
-  // lives in the caller's frame, so concurrent engine shards need no locks.
+  // Results are the same for any split of the span; all scratch lives in the
+  // caller's frame, so concurrent engine shards need no locks.
 
   /// Outcome of the Fig. 4 mode decision for one block: the bookkeeping plus
   /// the selected truncation window (meaningful only when info.lossy).
@@ -93,7 +93,7 @@ class SlcCodec {
 
   /// Staged per-symbol code lengths for a span of blocks (block i's lengths
   /// at lens[offsets[i] .. offsets[i+1])). Reuse across calls to amortize
-  /// the allocation; the commit path feeds it back into compress_decided().
+  /// the allocation; compress_batch() emits the payloads from it.
   struct LengthScratch {
     std::vector<uint16_t> lens;
     std::vector<size_t> offsets;
@@ -106,8 +106,8 @@ class SlcCodec {
   /// Batched decision: fills out[0..blocks.size()) with exactly the Decision
   /// compress()/analyze() derive per block, probing code lengths once for
   /// the whole span into `scratch`. Never consults the fingerprint memo —
-  /// the staged lengths it produces feed compress_decided()/compress_batch(),
-  /// which a cache hit (decision only, no lens) cannot serve.
+  /// the staged lengths it produces feed compress_batch(), which a cache hit
+  /// (decision only, no lens) cannot serve.
   void decide_batch(std::span<const BlockView> blocks, LengthScratch& scratch,
                     Decision* out) const;
 
@@ -143,8 +143,7 @@ class SlcCodec {
   void decide_batch_cached(std::span<const BlockView> blocks, LengthScratch& scratch,
                            Decision* out, CacheOutcome* oc) const;
 
-  /// analyze()/analyze_batch() with the per-block cache outcome surfaced.
-  SlcEncodeInfo analyze(BlockView block, CacheOutcome& oc) const;
+  /// analyze_batch() with the per-block cache outcome surfaced.
   void analyze_batch(std::span<const BlockView> blocks, SlcEncodeInfo* out,
                      CacheOutcome* oc) const;
 
@@ -154,18 +153,11 @@ class SlcCodec {
   /// The configured memo (null when uncached).
   const std::shared_ptr<FingerprintCache>& cache() const { return cfg_.cache; }
 
-  /// compress() with the mode decision and staged lengths already computed —
-  /// payload materialization without re-running the probe or the tree
-  /// selection. `d` and `lens` must come from decide_batch()/code_lengths()
-  /// of `block`.
-  SlcCompressedBlock compress_decided(BlockView block, const Decision& d,
-                                      std::span<const uint16_t> lens) const;
-
   /// Batched compress(): one decide_batch() probe for the whole span, then
   /// payload emission through the prefix-sum scatter (each block's exact
   /// final size is known from its Decision, so every payload is written at
-  /// an independent offset of one reused arena). out[i] is byte-identical
-  /// to compress(blocks[i]).
+  /// an independent offset of one reused arena). out[i] does not depend on
+  /// how the span is split.
   void compress_batch(std::span<const BlockView> blocks, SlcCompressedBlock* out) const;
 
   /// The block as reads will observe it after a store+load round trip of
@@ -173,8 +165,8 @@ class SlcCodec {
   /// symbol round-trips exactly through the entropy code, so the result is
   /// the original block with the selected window re-filled per the variant
   /// (zeros for TSLC-SIMP, parity-matched prediction otherwise — the same
-  /// fill routine decompress() runs). Byte-identical to
-  /// decompress(compress_decided(block, d, lens)); the batched commit path's
+  /// fill routine decompress() runs). Byte-identical to decompressing the
+  /// payload compress() emits for decision `d`; the batched commit path's
   /// way to mutate lossy blocks at decision cost.
   Block approx_decode(BlockView block, const Decision& d) const;
 
@@ -221,17 +213,10 @@ class SlcCodec {
   /// drift apart.
   void fill_approximated(Block& out, size_t skip_start, size_t skip_count) const;
 
-  /// Encodes the block with symbols [start, start+count) removed.
-  CompressedBlock encode(BlockView block, const SlcHeader& hdr,
-                         std::span<const uint16_t> lens, size_t skip_start,
-                         size_t skip_count) const;
-
-  /// encode()'s emission into a caller-provided writer (BitWriter or
-  /// detail::SpanBitWriter, which must be empty); returns the total bits
-  /// written. Defined in slc_codec.cpp; all instantiations live there.
-  template <class Writer>
+  /// Emits the block with symbols [skip_start, skip_start+skip_count)
+  /// removed into `w` (which must be empty); returns the total bits written.
   size_t encode_into(BlockView block, const SlcHeader& hdr, std::span<const uint16_t> lens,
-                     size_t skip_start, size_t skip_count, Writer& w) const;
+                     size_t skip_start, size_t skip_count, BitWriter& w) const;
 };
 
 }  // namespace slc

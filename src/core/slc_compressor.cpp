@@ -23,12 +23,6 @@ BlockAnalysis to_analysis(const SlcEncodeInfo& info, const SlcCodec::CacheOutcom
 
 }  // namespace
 
-BlockAnalysis SlcCompressor::analyze(BlockView block) const {
-  SlcCodec::CacheOutcome oc;
-  const SlcEncodeInfo info = codec_.analyze(block, oc);
-  return to_analysis(info, oc);
-}
-
 void SlcCompressor::analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const {
   std::vector<SlcEncodeInfo> infos(blocks.size());
   std::vector<SlcCodec::CacheOutcome> ocs(blocks.size());

@@ -1,15 +1,15 @@
 // SlcCompressor: the SLC codec behind the uniform Compressor interface.
 //
 // SlcCodec's native API returns SlcCompressedBlock (payload + mode-decision
-// bookkeeping); this adapter maps it onto compress()/decompress()/analyze()
+// bookkeeping); this adapter maps it onto the batch kernels and decompress()
 // so SLC participates in the CodecRegistry, the CodecEngine and every
 // scheme-sweeping bench exactly like the lossless schemes. The SLC payload is
 // self-describing (the Fig. 6 header carries mode/ss/len), so decompress()
 // needs nothing beyond the CompressedBlock.
 //
 // Note the SLC variants are *lossy*: decompress(compress(b)) may differ from
-// b for blocks the Fig. 4 decision truncates. analyze() exposes that through
-// BlockAnalysis::lossy/truncated_symbols.
+// b for blocks the Fig. 4 decision truncates. analyze_batch() exposes that
+// through BlockAnalysis::lossy/truncated_symbols.
 #pragma once
 
 #include <memory>
@@ -24,22 +24,17 @@ class SlcCompressor : public Compressor {
       : codec_(std::move(lossless), cfg) {}
 
   std::string name() const override { return to_string(codec_.config().variant); }
-  CompressedBlock compress(BlockView block) const override {
-    return codec_.compress(block).data;
-  }
   Block decompress(const CompressedBlock& cb, size_t block_bytes) const override {
     SlcCompressedBlock scb;
     scb.data = cb;
     return codec_.decompress(scb, block_bytes);
   }
-  BlockAnalysis analyze(BlockView block) const override;
 
-  /// Batched kernels: SlcCodec stages the E2MC length probe once for the
+  /// Batch kernels: SlcCodec stages the E2MC length probe once for the
   /// whole span and (for compress) scatters the payloads through the
   /// prefix-sum arena, so CodecEngine shards and CodecServer coalesced
   /// batches run the Fig. 4 decision and the payload emission at batch
-  /// speed. Byte-identical to the scalar loop (pinned by
-  /// tests/test_batch_kernels.cpp).
+  /// speed.
   using Compressor::analyze_batch;
   using Compressor::compress_batch;
   void analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const override;

@@ -29,11 +29,8 @@ struct SlcHeader {
     return (bits(block_bytes, num_ways, num_symbols) + 7) / 8;
   }
 
-  /// Writer is BitWriter or detail::SpanBitWriter (the batch scatter path);
-  /// defined in slc_header.cpp with explicit instantiations for both. The
-  /// header must start at bit 0 of `w`.
-  template <class Writer>
-  void write(Writer& w, size_t block_bytes, unsigned num_ways, size_t num_symbols) const;
+  /// Writes the byte-padded header; it must start at bit 0 of `w`.
+  void write(BitWriter& w, size_t block_bytes, unsigned num_ways, size_t num_symbols) const;
   static SlcHeader read(BitReader& r, size_t block_bytes, unsigned num_ways,
                         size_t num_symbols);
 };

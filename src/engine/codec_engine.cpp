@@ -220,16 +220,6 @@ CodecFuture<void> CodecEngine::submit(size_t count,
   return submit_job<void>(count, std::move(body), {}, priority, deadline);
 }
 
-void CodecEngine::parallel_for(size_t count,
-                               const std::function<void(size_t, size_t, unsigned)>& body) {
-  if (count == 0) return;
-  // Reference the caller's body instead of copying it: the job cannot
-  // outlive this frame because wait() blocks until it drained.
-  const auto job =
-      enqueue(count, [&body](size_t b, size_t e, unsigned w) { body(b, e, w); }, 0);
-  job->wait();
-}
-
 CodecFuture<CodecEngine::StreamAnalysis> CodecEngine::submit_analyze_indexed(
     size_t n_blocks, size_t mag_bytes,
     std::function<void(size_t, size_t, BlockAnalysis*)> produce,
@@ -290,9 +280,7 @@ CodecFuture<CodecEngine::StreamAnalysis> CodecEngine::submit_analyze(const Compr
       blocks.size(), mag_bytes,
       [&comp, blocks](size_t begin, size_t end, BlockAnalysis* dst) {
         // Every shard goes through the compressor's batch kernel, writing
-        // straight into the index-aligned result slots — schemes with
-        // vectorized overrides get the whole shard at once, and the default
-        // is the scalar loop with no intermediate vector.
+        // straight into the index-aligned result slots.
         comp.analyze_batch(to_views(blocks.subspan(begin, end - begin)), dst);
       },
       [blocks](size_t i) { return blocks[i].size() * 8; }, priority);

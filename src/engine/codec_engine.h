@@ -1,7 +1,7 @@
 // CodecEngine: batched multi-threaded driver for the codec stack.
 //
 // A persistent std::thread worker pool pulls fixed-size shards off a
-// *priority job queue*: every submit()/parallel_for call enqueues one
+// *priority job queue*: every submit() call enqueues one
 // independent job (its own [0, count) range, completion state and error
 // slot), and workers drain whichever jobs are pending — so multiple
 // analyze/compress/commit jobs can be in flight at once and the pool never
@@ -258,11 +258,6 @@ class CodecEngine {
                                                             int priority = 0);
 
   // --- synchronous wrappers (submit + wait) --------------------------------
-
-  /// Runs body over [0, count) and blocks until every shard completed. An
-  /// exception thrown by `body` is rethrown here once the job drained.
-  void parallel_for(size_t count,
-                    const std::function<void(size_t begin, size_t end, unsigned worker_id)>& body);
 
   StreamAnalysis analyze_stream(const Compressor& comp, std::span<const Block> blocks,
                                 size_t mag_bytes = kDefaultMagBytes);

@@ -177,28 +177,10 @@ const std::string& CodecServer::stream_name(StreamId s) const {
   return streams_.at(s)->cfg.name;
 }
 
-ServerTicket CodecServer::submit(StreamId s, const Request& request) {
-  std::vector<Block> blocks =
-      !request.blocks.empty()
-          ? std::vector<Block>(request.blocks.begin(), request.blocks.end())
-          : to_blocks(request.bytes);
-  return submit_request(s, request, std::move(blocks));
-}
-
-ServerTicket CodecServer::submit(StreamId s, std::span<const uint8_t> data) {
-  Request r;
-  r.bytes = data;
-  return submit(s, r);
-}
-
-ServerTicket CodecServer::submit(StreamId s, std::span<const Block> blocks) {
-  Request r;
-  r.blocks = blocks;
-  return submit(s, r);
-}
-
-ServerTicket CodecServer::submit_request(StreamId s, const Request& r,
-                                         std::vector<Block>&& blocks) {
+ServerTicket CodecServer::submit(StreamId s, const Request& r) {
+  std::vector<Block> blocks = !r.blocks.empty()
+                                  ? std::vector<Block>(r.blocks.begin(), r.blocks.end())
+                                  : to_blocks(r.bytes);
   auto req = std::make_shared<detail::ServerRequest>();
   // Latency is measured from here — before any admission wait or coalescing
   // delay — so percentiles reflect what the client experienced.
@@ -392,7 +374,7 @@ void CodecServer::dispatch_locked(StreamId s) {
     // exception instead of the server hanging in drain()/~CodecServer.
     // Delivery happens without dropping lock_ — the old unlock/relock here
     // let admission-turnstile state shift mid-dispatch under a waiter
-    // parked in submit_request.
+    // parked in submit().
     std::exception_ptr err;
     try {
       fut.wait();

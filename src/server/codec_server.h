@@ -301,13 +301,6 @@ class CodecServer {
   /// completes immediately. See Request/Response for the contract.
   ServerTicket submit(StreamId s, const Request& request);
 
-  /// Legacy byte-stream analyze request.
-  [[deprecated("use submit(StreamId, const Request&)")]]
-  ServerTicket submit(StreamId s, std::span<const uint8_t> data);
-  /// Legacy block-stream analyze request.
-  [[deprecated("use submit(StreamId, const Request&)")]]
-  ServerTicket submit(StreamId s, std::span<const Block> blocks);
-
   /// Dispatches `s`'s partially-filled batch now (no-op when empty).
   void flush_stream(StreamId s);
   /// Barrier: dispatches every partial batch and blocks until all in-flight
@@ -348,8 +341,6 @@ class CodecServer {
     StreamStats stats;
   };
 
-  /// Shared core of submit(); takes ownership of the blocks.
-  ServerTicket submit_request(StreamId s, const Request& r, std::vector<Block>&& blocks);
   /// Packages the stream's pending requests into one batch and submits it as
   /// a single engine job at the stream's priority. If the engine abandoned
   /// the job at enqueue (shut down), the batch is failed inline via

@@ -1,0 +1,74 @@
+// Per-block reference encoders: the differential oracle for the library's
+// batch kernels, which are its only encoders.
+//
+// These are the straightforward one-block encoders the kernels were derived
+// from: a bit-at-a-time writer, a deque-backed C-PACK dictionary,
+// byte-assembled word loads and separate size-only walks. They share only
+// code tables and layout helpers with the library. tests/test_batch_kernels
+// and the per-scheme suites compare against them; bench/codec_throughput
+// times them as its "scalar" rows.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <vector>
+
+#include "compress/bdi.h"
+#include "compress/cpack.h"
+#include "compress/huffman.h"
+#include "core/slc_codec.h"
+
+namespace slc::ref {
+
+/// Append-only MSB-first bit writer into a growing buffer, one byte-masking
+/// step per output byte.
+class BitWriter {
+ public:
+  /// Appends the low `nbits` bits of `value`, most-significant bit first.
+  /// `nbits` must be in [0, 64].
+  void put(uint64_t value, unsigned nbits);
+  void put_bit(bool bit) { put(bit ? 1u : 0u, 1); }
+
+  size_t bit_size() const { return bit_size_; }
+  size_t byte_size() const { return (bit_size_ + 7) / 8; }
+
+  /// The packed stream, final partial byte zero-padded.
+  std::vector<uint8_t> bytes() const;
+
+ private:
+  std::vector<uint8_t> buf_;
+  size_t bit_size_ = 0;
+};
+
+// Per-scheme encoders, bound to the trained tables and configuration of
+// the library compressor they mirror.
+CompressedBlock bdi_compress(BlockView block);
+BlockAnalysis bdi_analyze(BlockView block);
+/// BDI's smallest valid encoding, from byte-assembled word loads.
+BdiEncoding bdi_best_encoding(BlockView block);
+CompressedBlock fpc_compress(BlockView block);
+BlockAnalysis fpc_analyze(BlockView block);
+CompressedBlock cpack_compress(const CpackCompressor& comp, BlockView block);
+BlockAnalysis cpack_analyze(const CpackCompressor& comp, BlockView block);
+CompressedBlock e2mc_compress(const E2mcCompressor& comp, BlockView block);
+BlockAnalysis e2mc_analyze(const E2mcCompressor& comp, BlockView block);
+CompressedBlock huffman_compress(const HuffmanCompressor& comp, BlockView block);
+BlockAnalysis huffman_analyze(const HuffmanCompressor& comp, BlockView block);
+/// SLC: the Fig. 4 decision from SlcCodec::decide_cached, emitted by the
+/// reference writer with its own header and way layout.
+SlcCompressedBlock slc_compress(const SlcCodec& codec, BlockView block);
+BlockAnalysis slc_analyze(const SlcCodec& codec, BlockView block);
+
+/// One scheme's per-block encoder pair.
+struct Codec {
+  std::function<CompressedBlock(BlockView)> compress;
+  std::function<BlockAnalysis(BlockView)> analyze;
+};
+
+/// The reference encoders for a library compressor (BDI, FPC, C-PACK, E2MC,
+/// Huffman or a TSLC variant). `comp` must outlive the result. Throws
+/// std::invalid_argument for any other Compressor type.
+Codec reference_for(const Compressor& comp);
+
+}  // namespace slc::ref

@@ -1,10 +1,11 @@
 // Batch-kernel equivalence: for every registry-listed codec, the
-// analyze_batch/compress_batch kernels must be byte-identical to the
-// per-block scalar loop — on random, all-zero, denormal-heavy, value-similar
-// and repeat/delta data, for any batch split. This is the contract that lets
-// the CodecEngine and CodecServer route every shard through the batch entry
-// points without a correctness fallback; it runs under the ASan+UBSan CI job
-// like the rest of this binary.
+// analyze_batch/compress_batch kernels — the library's only encoders — must
+// be byte-identical to the per-block reference encoders of
+// tests/reference_codecs.cpp, on random, all-zero, denormal-heavy,
+// value-similar and repeat/delta data, for any batch split, with the SIMD
+// sub-kernels on and off. This is the contract that lets the CodecEngine and
+// CodecServer route every shard through the batch entry points; it runs
+// under the ASan+UBSan CI job like the rest of this binary.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -13,27 +14,27 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "compress/bdi.h"
 #include "compress/block_codec.h"
 #include "compress/codec_registry.h"
+#include "compress/cpack.h"
+#include "compress/fpc.h"
 #include "compress/simd_dispatch.h"
+#include "reference_codecs.h"
 #include "test_util.h"
 
 namespace slc {
 namespace {
 
-std::vector<Block> blocks_from_bytes(const std::vector<uint8_t>& data) {
-  return to_blocks(data);
-}
-
 std::vector<Block> random_blocks(size_t n) {
   Rng rng(0xB10CB10Cull);
   std::vector<uint8_t> data(n * kBlockBytes);
   for (auto& b : data) b = static_cast<uint8_t>(rng.next_below(256));
-  return blocks_from_bytes(data);
+  return to_blocks(data);
 }
 
 std::vector<Block> zero_blocks(size_t n) {
-  return blocks_from_bytes(std::vector<uint8_t>(n * kBlockBytes, 0));
+  return to_blocks(std::vector<uint8_t>(n * kBlockBytes, 0));
 }
 
 // Mostly denormal floats (zero exponent, random mantissa) with zeros mixed
@@ -51,7 +52,7 @@ std::vector<Block> denormal_blocks(size_t n) {
     }
     for (int k = 0; k < 4; ++k) data.push_back(static_cast<uint8_t>(bits >> (8 * k)));
   }
-  return blocks_from_bytes(data);
+  return to_blocks(data);
 }
 
 // Repeated 64-bit values and small-delta integer runs (BDI's and C-PACK's
@@ -66,7 +67,7 @@ std::vector<Block> repeat_delta_blocks(size_t n) {
     const uint64_t v = rng.chance(0.5) ? base : base + rng.next_below(200);
     for (int k = 0; k < 8; ++k) data.push_back(static_cast<uint8_t>(v >> (8 * k)));
   }
-  return blocks_from_bytes(data);
+  return to_blocks(data);
 }
 
 void expect_analysis_eq(const BlockAnalysis& scalar, const BlockAnalysis& batch,
@@ -85,58 +86,65 @@ void expect_payload_eq(const CompressedBlock& scalar, const CompressedBlock& bat
   EXPECT_EQ(scalar.payload, batch.payload) << what;
 }
 
-// Runs one codec over one data set through every batch split and compares
-// against the per-block scalar loop.
-void check_codec(const Compressor& comp, const std::vector<Block>& blocks,
-                 const std::string& label) {
-  const std::vector<BlockView> views = to_views(blocks);
+// Restores runtime dispatch even when an ASSERT bails out of the test body.
+struct ForceScalarGuard {
+  ~ForceScalarGuard() { simd::force_scalar(false); }
+};
 
-  // The scalar oracle: exactly the loop Compressor's defaults run.
-  std::vector<BlockAnalysis> scalar_a(blocks.size());
-  std::vector<CompressedBlock> scalar_c(blocks.size());
-  for (size_t i = 0; i < blocks.size(); ++i) {
-    scalar_a[i] = comp.analyze(views[i]);
-    scalar_c[i] = comp.compress(views[i]);
+// Codec options over one fixed training sample (static: the options only
+// view it) with one shared E2MC model that the E2MC and TSLC-* factories
+// reuse; Huffman trains on the sample itself.
+CodecOptions trained_options() {
+  static const std::vector<uint8_t> training = test::quantized_walk(7, 64);
+  CodecOptions opts = test::test_options(training);
+  opts.trained_e2mc = E2mcCompressor::train(training, opts.e2mc);
+  return opts;
+}
+
+// Every registry codec with a Compressor form (RAW has none).
+std::vector<std::shared_ptr<const Compressor>> all_compressors(const CodecOptions& opts) {
+  std::vector<std::shared_ptr<const Compressor>> out;
+  for (const CodecInfo* info : CodecRegistry::instance().entries())
+    if (info->make) out.push_back(CodecRegistry::instance().create(info->name, opts));
+  return out;
+}
+
+// Runs `comp`'s kernels over `views` in batches of each size in `splits`,
+// with the SIMD sub-kernels forced off and then on, and compares every block
+// against the reference encoder.
+void check_codec(const Compressor& comp, std::span<const BlockView> views,
+                 std::initializer_list<size_t> splits, const std::string& label) {
+  ForceScalarGuard guard;
+  const auto reference = ref::reference_for(comp);
+  std::vector<BlockAnalysis> ref_a(views.size());
+  std::vector<CompressedBlock> ref_c(views.size());
+  for (size_t i = 0; i < views.size(); ++i) {
+    ref_a[i] = reference.analyze(views[i]);
+    ref_c[i] = reference.compress(views[i]);
   }
 
-  // View-based kernels at several split sizes (1 = degenerate batches,
-  // 5 = shard boundaries that do not divide the stream, all = one batch).
-  for (const size_t split : {size_t{1}, size_t{5}, blocks.size()}) {
-    std::vector<BlockAnalysis> batch_a(blocks.size());
-    std::vector<CompressedBlock> batch_c(blocks.size());
-    for (size_t begin = 0; begin < blocks.size(); begin += split) {
-      const size_t len = std::min(split, blocks.size() - begin);
-      const std::span<const BlockView> part(views.data() + begin, len);
-      comp.analyze_batch(part, batch_a.data() + begin);
-      comp.compress_batch(part, batch_c.data() + begin);
+  for (const bool force_scalar : {true, false}) {
+    simd::force_scalar(force_scalar);
+    for (const size_t split : splits) {
+      std::vector<BlockAnalysis> batch_a(views.size());
+      std::vector<CompressedBlock> batch_c(views.size());
+      for (size_t begin = 0; begin < views.size(); begin += split) {
+        const auto part = views.subspan(begin, std::min(split, views.size() - begin));
+        comp.analyze_batch(part, batch_a.data() + begin);
+        comp.compress_batch(part, batch_c.data() + begin);
+      }
+      for (size_t i = 0; i < views.size(); ++i) {
+        const std::string what = comp.name() + "/" + label + " block " + std::to_string(i) +
+                                 " split " + std::to_string(split) +
+                                 (force_scalar ? " force-scalar" : " dispatched");
+        expect_analysis_eq(ref_a[i], batch_a[i], what);
+        expect_payload_eq(ref_c[i], batch_c[i], what);
+      }
     }
-    for (size_t i = 0; i < blocks.size(); ++i) {
-      const std::string what =
-          comp.name() + "/" + label + " block " + std::to_string(i) + " split " +
-          std::to_string(split);
-      expect_analysis_eq(scalar_a[i], batch_a[i], what);
-      expect_payload_eq(scalar_c[i], batch_c[i], what);
-    }
-  }
-
-  // The owned-block convenience overloads forward to the same kernels.
-  const std::vector<BlockAnalysis> conv_a = comp.analyze_batch(blocks);
-  const std::vector<CompressedBlock> conv_c = comp.compress_batch(blocks);
-  ASSERT_EQ(conv_a.size(), blocks.size());
-  ASSERT_EQ(conv_c.size(), blocks.size());
-  for (size_t i = 0; i < blocks.size(); ++i) {
-    const std::string what = comp.name() + "/" + label + " block " + std::to_string(i) + " conv";
-    expect_analysis_eq(scalar_a[i], conv_a[i], what);
-    expect_payload_eq(scalar_c[i], conv_c[i], what);
   }
 }
 
 TEST(BatchKernels, ByteIdenticalToScalarLoopForEveryRegistryCodec) {
-  const std::vector<uint8_t> training = test::quantized_walk(7, 64);
-  CodecOptions opts = test::test_options(training);
-  // Train the shared E2MC model once; the E2MC and TSLC-* factories reuse it.
-  opts.trained_e2mc = E2mcCompressor::train(training, opts.e2mc);
-
   const std::map<std::string, std::vector<Block>> datasets = {
       {"random", random_blocks(48)},
       {"all-zero", zero_blocks(16)},
@@ -145,16 +153,29 @@ TEST(BatchKernels, ByteIdenticalToScalarLoopForEveryRegistryCodec) {
       {"repeat-delta", repeat_delta_blocks(48)},
   };
 
-  size_t tested = 0;
-  for (const CodecInfo* info : CodecRegistry::instance().entries()) {
-    if (!info->make) continue;  // RAW has no Compressor form
-    const auto comp = CodecRegistry::instance().create(info->name, opts);
-    for (const auto& [label, blocks] : datasets) check_codec(*comp, blocks, label);
-    ++tested;
+  const auto comps = all_compressors(trained_options());
+  for (const auto& comp : comps) {
+    for (const auto& [label, blocks] : datasets) {
+      // 1 = degenerate batches, 5 = shard boundaries that do not divide the
+      // stream, all = one batch.
+      const std::vector<BlockView> views = to_views(blocks);
+      check_codec(*comp, views, {1, 5, blocks.size()}, label);
+
+      // The owned-block overloads and the one-block calls run the same
+      // kernels.
+      const std::vector<BlockAnalysis> conv_a = comp->analyze_batch(blocks);
+      const std::vector<CompressedBlock> conv_c = comp->compress_batch(blocks);
+      ASSERT_EQ(conv_a.size(), blocks.size());
+      ASSERT_EQ(conv_c.size(), blocks.size());
+      for (size_t i = 0; i < blocks.size(); ++i) {
+        const std::string what = comp->name() + "/" + label + " block " + std::to_string(i);
+        expect_analysis_eq(comp->analyze(views[i]), conv_a[i], what);
+        expect_payload_eq(comp->compress(views[i]), conv_c[i], what);
+      }
+    }
   }
-  // The registry must have yielded the four schemes with real batch kernels
-  // (plus Huffman and the TSLC variants on the default loop).
-  EXPECT_GE(tested, 7u);
+  // BDI, FPC, C-PACK, E2MC, Huffman and the three TSLC variants.
+  EXPECT_EQ(comps.size(), 8u);
 }
 
 // --- BlockCodec::process_batch ----------------------------------------------
@@ -200,9 +221,7 @@ void check_block_codec(const BlockCodec& codec, const std::vector<Block>& blocks
 }
 
 TEST(BatchKernels, ProcessBatchMatchesScalarForEveryRegistryPolicy) {
-  const std::vector<uint8_t> training = test::quantized_walk(7, 64);
-  CodecOptions opts = test::test_options(training);
-  opts.trained_e2mc = E2mcCompressor::train(training, opts.e2mc);
+  const CodecOptions opts = trained_options();
 
   const std::map<std::string, std::vector<Block>> datasets = {
       {"random", random_blocks(24)},
@@ -235,54 +254,25 @@ TEST(BatchKernels, ProcessBatchMatchesScalarForEveryRegistryPolicy) {
 // --- SIMD dispatch -----------------------------------------------------------
 // The vector kernels behind slc::simd are an implementation detail: pinning
 // the scalar sub-kernels (simd::force_scalar, same switch the SLC_FORCE_SCALAR
-// env var throws) must not change a single output byte of any codec. On hosts
-// without AVX2 both runs take the scalar path and the comparison is trivially
-// true — CI also runs this whole binary once with SLC_FORCE_SCALAR=1 so the
-// scalar oracle itself stays covered everywhere.
-
-// Restores runtime dispatch even when an ASSERT bails out of the test body.
-struct ForceScalarGuard {
-  ~ForceScalarGuard() { simd::force_scalar(false); }
-};
+// env var throws) must not change a single output byte of any codec.
+// check_codec() holds both settings to the reference encoder, so they agree
+// with each other too. On hosts without AVX2 both runs take the scalar path
+// — CI also runs this whole binary once with SLC_FORCE_SCALAR=1.
 
 TEST(BatchKernels, ForceScalarTogglePreservesEveryByte) {
-  ForceScalarGuard guard;
-  const std::vector<uint8_t> training = test::quantized_walk(7, 64);
-  CodecOptions opts = test::test_options(training);
-  opts.trained_e2mc = E2mcCompressor::train(training, opts.e2mc);
-
+  {
+    ForceScalarGuard guard;
+    simd::force_scalar(true);
+    ASSERT_EQ(simd::active_level(), simd::Level::kScalar);
+  }
   const std::map<std::string, std::vector<Block>> datasets = {
       {"random", random_blocks(33)},
       {"value-similar", to_blocks(test::quantized_walk(21, 48))},
       {"repeat-delta", repeat_delta_blocks(31)},
   };
-
-  for (const CodecInfo* info : CodecRegistry::instance().entries()) {
-    if (!info->make) continue;
-    const auto comp = CodecRegistry::instance().create(info->name, opts);
-    for (const auto& [label, blocks] : datasets) {
-      const std::vector<BlockView> views = to_views(blocks);
-      std::vector<BlockAnalysis> a_scalar(blocks.size()), a_simd(blocks.size());
-      std::vector<CompressedBlock> c_scalar(blocks.size()), c_simd(blocks.size());
-
-      simd::force_scalar(true);
-      ASSERT_EQ(simd::active_level(), simd::Level::kScalar);
-      comp->analyze_batch(views, a_scalar.data());
-      comp->compress_batch(views, c_scalar.data());
-
-      simd::force_scalar(false);  // back to this host's probed default
-      comp->analyze_batch(views, a_simd.data());
-      comp->compress_batch(views, c_simd.data());
-
-      for (size_t i = 0; i < blocks.size(); ++i) {
-        const std::string what = comp->name() + "/" + label + " block " + std::to_string(i) +
-                                 " force-scalar toggle (active=" +
-                                 std::string(simd::active_level_name()) + ")";
-        expect_analysis_eq(a_scalar[i], a_simd[i], what);
-        expect_payload_eq(c_scalar[i], c_simd[i], what);
-      }
-    }
-  }
+  for (const auto& comp : all_compressors(trained_options()))
+    for (const auto& [label, blocks] : datasets)
+      check_codec(*comp, to_views(blocks), {blocks.size()}, label + " toggle");
 }
 
 // Batch splits around the kernels' tile widths — 1 (degenerate), 7/9 (around
@@ -291,54 +281,18 @@ TEST(BatchKernels, ForceScalarTogglePreservesEveryByte) {
 // divides none of them. Any even-division assumption in the staging, the
 // prefix-sum scatter, or a vector tail loop shows up here.
 TEST(BatchKernels, OddBatchSplitsMatchScalar) {
-  const std::vector<uint8_t> training = test::quantized_walk(7, 64);
-  CodecOptions opts = test::test_options(training);
-  opts.trained_e2mc = E2mcCompressor::train(training, opts.e2mc);
-
   const std::vector<Block> blocks = repeat_delta_blocks(35);
-  const std::vector<BlockView> views = to_views(blocks);
-
-  for (const CodecInfo* info : CodecRegistry::instance().entries()) {
-    if (!info->make) continue;
-    const auto comp = CodecRegistry::instance().create(info->name, opts);
-
-    std::vector<BlockAnalysis> scalar_a(blocks.size());
-    std::vector<CompressedBlock> scalar_c(blocks.size());
-    for (size_t i = 0; i < blocks.size(); ++i) {
-      scalar_a[i] = comp->analyze(views[i]);
-      scalar_c[i] = comp->compress(views[i]);
-    }
-
-    for (const size_t split : {1, 7, 9, 15, 17, 31, 33}) {
-      std::vector<BlockAnalysis> batch_a(blocks.size());
-      std::vector<CompressedBlock> batch_c(blocks.size());
-      for (size_t begin = 0; begin < blocks.size(); begin += split) {
-        const size_t len = std::min(split, blocks.size() - begin);
-        const std::span<const BlockView> part(views.data() + begin, len);
-        comp->analyze_batch(part, batch_a.data() + begin);
-        comp->compress_batch(part, batch_c.data() + begin);
-      }
-      for (size_t i = 0; i < blocks.size(); ++i) {
-        const std::string what = comp->name() + " odd split " + std::to_string(split) +
-                                 " block " + std::to_string(i);
-        expect_analysis_eq(scalar_a[i], batch_a[i], what);
-        expect_payload_eq(scalar_c[i], batch_c[i], what);
-      }
-    }
-  }
+  for (const auto& comp : all_compressors(trained_options()))
+    check_codec(*comp, to_views(blocks), {1, 7, 9, 15, 17, 31, 33}, "odd split");
 }
 
 // Misaligned block pointers: the same stream viewed at byte offsets 0, 1 and
 // 3 from the backing allocation, so every 32-byte vector load in the kernels
 // is genuinely unaligned (block *sizes* stay kBlockBytes — only the pointers
-// shift). Batch results must match the scalar loop over the same shifted
+// shift). Batch results must match the reference over the same shifted
 // views, and shifting must not perturb a kernel into reading outside its
 // block (ASan in CI would catch an over-read).
 TEST(BatchKernels, MisalignedBlockPointersMatchScalar) {
-  const std::vector<uint8_t> training = test::quantized_walk(7, 64);
-  CodecOptions opts = test::test_options(training);
-  opts.trained_e2mc = E2mcCompressor::train(training, opts.e2mc);
-
   constexpr size_t kBlocks = 24;
   // Compressible content (repeated values + small deltas) so the vector
   // probe/classify/gather paths actually engage instead of bailing to raw.
@@ -354,6 +308,7 @@ TEST(BatchKernels, MisalignedBlockPointersMatchScalar) {
     }
   }
 
+  const auto comps = all_compressors(trained_options());
   for (const size_t offset : {size_t{0}, size_t{1}, size_t{3}}) {
     std::vector<uint8_t> arena(offset + pattern.size());
     std::memcpy(arena.data() + offset, pattern.data(), pattern.size());
@@ -362,70 +317,67 @@ TEST(BatchKernels, MisalignedBlockPointersMatchScalar) {
     for (size_t b = 0; b < kBlocks; ++b)
       views.push_back(BlockView(
           std::span<const uint8_t>(arena.data() + offset + b * kBlockBytes, kBlockBytes)));
-
-    for (const CodecInfo* info : CodecRegistry::instance().entries()) {
-      if (!info->make) continue;
-      const auto comp = CodecRegistry::instance().create(info->name, opts);
-
-      std::vector<BlockAnalysis> batch_a(kBlocks);
-      std::vector<CompressedBlock> batch_c(kBlocks);
-      comp->analyze_batch(views, batch_a.data());
-      comp->compress_batch(views, batch_c.data());
-
-      for (size_t i = 0; i < kBlocks; ++i) {
-        const std::string what = comp->name() + " offset " + std::to_string(offset) +
-                                 " block " + std::to_string(i);
-        expect_analysis_eq(comp->analyze(views[i]), batch_a[i], what);
-        expect_payload_eq(comp->compress(views[i]), batch_c[i], what);
-      }
-    }
+    for (const auto& comp : comps)
+      check_codec(*comp, views, {kBlocks}, "offset " + std::to_string(offset));
   }
+}
+
+// Block sizes come from outside the program. A size a kernel cannot stage
+// is rejected with std::invalid_argument rather than served by a second
+// encoder.
+TEST(BatchKernels, UnsupportedGeometryThrows) {
+  const std::vector<uint8_t> training = test::quantized_walk(7, 64);
+  const std::vector<uint8_t> bytes(1024, 0x5A);
+  const auto view_of = [&](size_t n) {
+    return BlockView(std::span<const uint8_t>(bytes.data(), n));
+  };
+  const auto expect_rejects = [](const Compressor& comp, BlockView block) {
+    EXPECT_THROW(comp.analyze(block), std::invalid_argument) << comp.name();
+    EXPECT_THROW(comp.compress(block), std::invalid_argument) << comp.name();
+  };
+
+  expect_rejects(BdiCompressor(), view_of(20));    // not a multiple of 8 B
+  expect_rejects(FpcCompressor(), view_of(516));   // over 512 B
+  expect_rejects(FpcCompressor(), view_of(18));    // not a multiple of 4 B
+  expect_rejects(CpackCompressor(), view_of(1024));
+  expect_rejects(*E2mcCompressor::train(training), view_of(130));  // 65 symbols, 4 ways
+  EXPECT_THROW(CpackCompressor(128), std::invalid_argument);
+  EXPECT_THROW(CpackCompressor(12), std::invalid_argument);
 }
 
 // Lossless schemes must still roundtrip from the batch-produced payloads.
 TEST(BatchKernels, BatchPayloadsRoundtripLossless) {
-  const std::vector<uint8_t> training = test::quantized_walk(7, 64);
-  CodecOptions opts = test::test_options(training);
-  opts.trained_e2mc = E2mcCompressor::train(training, opts.e2mc);
-
   const std::vector<Block> blocks = random_blocks(32);
+  const CodecOptions opts = trained_options();
   for (const std::string& name : CodecRegistry::instance().lossless_names()) {
-    const CodecInfo& info = CodecRegistry::instance().at(name);
-    if (!info.make) continue;
     const auto comp = CodecRegistry::instance().create(name, opts);
     const std::vector<CompressedBlock> payloads = comp->compress_batch(blocks);
-    for (size_t i = 0; i < blocks.size(); ++i) {
-      EXPECT_EQ(comp->decompress(payloads[i], kBlockBytes), blocks[i])
-          << name << " block " << i;
-    }
+    for (size_t i = 0; i < blocks.size(); ++i)
+      EXPECT_EQ(comp->decompress(payloads[i], kBlockBytes), blocks[i]) << name << " block " << i;
   }
 }
 
 TEST(BatchKernels, BatchPayloadsDecompressForEveryScheme) {
   // Closes the decompress gap over the batch paths: every scheme's
-  // compress_batch payloads must decode to exactly what the scalar
-  // compress()+decompress() path yields — for lossless schemes that is the
-  // input itself; for the lossy TSLC variants the approximation is part of
-  // the contract, and batch/scalar drift in the decoded bytes is a bug.
-  const std::vector<uint8_t> training = test::quantized_walk(7, 64);
-  CodecOptions opts = test::test_options(training);
-  opts.trained_e2mc = E2mcCompressor::train(training, opts.e2mc);
-
+  // compress_batch payloads must decode to exactly what the reference
+  // encoder's payloads decode to — for lossless schemes that is the input
+  // itself; for the lossy TSLC variants the approximation is part of the
+  // contract, and kernel/reference drift in the decoded bytes is a bug.
   const std::vector<std::vector<Block>> corpora = {random_blocks(24), zero_blocks(8),
                                                    repeat_delta_blocks(16), denormal_blocks(8)};
+  const auto comps = all_compressors(trained_options());
   for (const auto& blocks : corpora) {
-    for (const std::string& name : CodecRegistry::instance().names()) {
-      const CodecInfo& info = CodecRegistry::instance().at(name);
-      if (!info.make) continue;  // RAW has no Compressor form
-      const auto comp = CodecRegistry::instance().create(name, opts);
+    for (const auto& comp : comps) {
+      const bool lossy = CodecRegistry::instance().at(comp->name()).lossy;
+      const auto reference = ref::reference_for(*comp);
       const std::vector<CompressedBlock> payloads = comp->compress_batch(blocks);
       for (size_t i = 0; i < blocks.size(); ++i) {
         const Block batch_decoded = comp->decompress(payloads[i], kBlockBytes);
-        const Block scalar_decoded =
-            comp->decompress(comp->compress(blocks[i].view()), kBlockBytes);
-        EXPECT_EQ(batch_decoded, scalar_decoded) << name << " block " << i;
-        if (!info.lossy) {
-          EXPECT_EQ(batch_decoded, blocks[i]) << name << " block " << i;
+        const Block reference_decoded =
+            comp->decompress(reference.compress(blocks[i].view()), kBlockBytes);
+        EXPECT_EQ(batch_decoded, reference_decoded) << comp->name() << " block " << i;
+        if (!lossy) {
+          EXPECT_EQ(batch_decoded, blocks[i]) << comp->name() << " block " << i;
         }
       }
     }

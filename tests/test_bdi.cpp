@@ -3,6 +3,7 @@
 
 #include "common/rng.h"
 #include "compress/bdi.h"
+#include "reference_codecs.h"
 
 namespace slc {
 namespace {
@@ -97,7 +98,8 @@ TEST(Bdi, PicksSmallestValidEncoding) {
   EXPECT_EQ(BdiCompressor::best_encoding(b.view()), BdiEncoding::kBase8Delta1);
 }
 
-// Property: round trip is the identity for random structured blocks.
+// Property: round trip is the identity for random structured blocks, and
+// the kernel's encoding and payload match the reference encoder's.
 TEST(BdiProperty, RoundTripStructured) {
   Rng rng(22);
   const BdiCompressor c;
@@ -111,6 +113,8 @@ TEST(BdiProperty, RoundTripStructured) {
     const auto cb = c.compress(b.view());
     EXPECT_EQ(c.decompress(cb, kBlockBytes), b) << "trial " << trial;
     EXPECT_LE(cb.bit_size, kBlockBytes * 8);
+    EXPECT_EQ(BdiCompressor::best_encoding(b.view()), ref::bdi_best_encoding(b.view()));
+    EXPECT_EQ(cb.payload, ref::bdi_compress(b.view()).payload) << "trial " << trial;
   }
 }
 

@@ -1,4 +1,4 @@
-// CodecEngine: parallel-for coverage, and the determinism guarantee — a
+// CodecEngine: shard coverage, and the determinism guarantee — a
 // 1-thread and an N-thread run produce identical per-block results, payloads
 // and merged stats/ratios.
 #include <gtest/gtest.h>
@@ -29,26 +29,26 @@ TEST(CodecEngine, ParallelForCoversEveryIndexExactlyOnce) {
   EXPECT_EQ(engine.num_threads(), 4u);
   for (const size_t count : {0u, 1u, 7u, 64u, 1000u}) {
     std::vector<std::atomic<int>> hits(count);
-    engine.parallel_for(count, [&](size_t begin, size_t end, unsigned worker) {
+    auto job = engine.submit(count, [&](size_t begin, size_t end, unsigned worker) {
       EXPECT_LT(worker, engine.num_threads());
       EXPECT_LE(begin, end);
       EXPECT_LE(end, count);
       for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
     });
+    job.wait();
     for (size_t i = 0; i < count; ++i) EXPECT_EQ(hits[i].load(), 1) << "index " << i;
   }
 }
 
 TEST(CodecEngine, ParallelForRethrowsBodyExceptions) {
   CodecEngine engine(2);
-  EXPECT_THROW(engine.parallel_for(100,
-                                   [&](size_t begin, size_t, unsigned) {
-                                     if (begin == 0) throw std::runtime_error("boom");
-                                   }),
-               std::runtime_error);
+  auto job = engine.submit(100, [&](size_t begin, size_t, unsigned) {
+    if (begin == 0) throw std::runtime_error("boom");
+  });
+  EXPECT_THROW(job.wait(), std::runtime_error);
   // The pool must stay usable afterwards.
   std::atomic<size_t> total{0};
-  engine.parallel_for(10, [&](size_t begin, size_t end, unsigned) { total += end - begin; });
+  engine.submit(10, [&](size_t begin, size_t end, unsigned) { total += end - begin; }).wait();
   EXPECT_EQ(total.load(), 10u);
 }
 
@@ -228,7 +228,7 @@ TEST(CodecEngine, ExceptionInOneJobDoesNotPoisonOthers) {
 
   // The pool must stay usable afterwards.
   std::atomic<size_t> total{0};
-  engine.parallel_for(10, [&](size_t begin, size_t end, unsigned) { total += end - begin; });
+  engine.submit(10, [&](size_t begin, size_t end, unsigned) { total += end - begin; }).wait();
   EXPECT_EQ(total.load(), 10u);
 }
 

@@ -106,6 +106,25 @@ TEST(CodecRegistry, RoundTripAndAnalyzeConsistency) {
   }
 }
 
+// Payloads reach the decoders from outside the program: an uncompressed
+// payload shorter than the block must be rejected, not read past its end.
+TEST(CodecRegistry, ShortRawPayloadThrowsForEveryScheme) {
+  const auto& reg = CodecRegistry::instance();
+  const auto training = quantized_walk(23, 256);
+  CompressedBlock cb;
+  cb.payload = {1, 2, 3, 4};
+  cb.bit_size = kBlockBytes * 8;
+  cb.is_compressed = false;
+  size_t tested = 0;
+  for (const auto* info : reg.entries()) {
+    if (!info->make) continue;  // RAW
+    const auto comp = reg.create(info->name, test_options(training));
+    EXPECT_THROW(comp->decompress(cb, kBlockBytes), std::invalid_argument) << info->name;
+    ++tested;
+  }
+  EXPECT_EQ(tested, 8u);
+}
+
 TEST(CodecRegistry, BlockCodecConstructibleForEveryScheme) {
   const auto& reg = CodecRegistry::instance();
   const auto training = quantized_walk(23, 256);

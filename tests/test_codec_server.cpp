@@ -36,22 +36,23 @@ using test::test_options;
 class SlowCodec : public Compressor {
  public:
   std::string name() const override { return "TEST-SLOW"; }
-  CompressedBlock compress(BlockView block) const override {
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-    CompressedBlock cb;
-    cb.bit_size = block.size() * 8;
-    cb.is_compressed = false;
-    return cb;
-  }
   Block decompress(const CompressedBlock&, size_t block_bytes) const override {
     return Block(block_bytes);
   }
-  BlockAnalysis analyze(BlockView block) const override {
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-    BlockAnalysis a;
-    a.bit_size = block.size() * 8;
-    a.lossless_bits = a.bit_size;
-    return a;
+  void analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const override {
+    for (size_t i = 0; i < blocks.size(); ++i) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+      out[i] = BlockAnalysis{};
+      out[i].bit_size = blocks[i].size() * 8;
+      out[i].lossless_bits = out[i].bit_size;
+    }
+  }
+  void compress_batch(std::span<const BlockView> blocks, CompressedBlock* out) const override {
+    for (size_t i = 0; i < blocks.size(); ++i) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+      out[i] = CompressedBlock{};
+      out[i].bit_size = blocks[i].size() * 8;
+    }
   }
 };
 
@@ -59,14 +60,14 @@ class SlowCodec : public Compressor {
 class ThrowingCodec : public Compressor {
  public:
   std::string name() const override { return "TEST-THROW"; }
-  CompressedBlock compress(BlockView) const override {
-    throw std::runtime_error("TEST-THROW compress");
-  }
   Block decompress(const CompressedBlock&, size_t) const override {
     throw std::runtime_error("TEST-THROW decompress");
   }
-  BlockAnalysis analyze(BlockView) const override {
+  void analyze_batch(std::span<const BlockView>, BlockAnalysis*) const override {
     throw std::runtime_error("TEST-THROW analyze");
+  }
+  void compress_batch(std::span<const BlockView>, CompressedBlock*) const override {
+    throw std::runtime_error("TEST-THROW compress");
   }
 };
 
@@ -770,21 +771,6 @@ TEST(CodecServer, CacheModePrivateIsolatesSharedDedups) {
 
   EXPECT_GT(run(CacheMode::kShared), 0u) << "shared mode dedups across streams";
   EXPECT_EQ(run(CacheMode::kPrivate), 0u) << "private caches must not leak across streams";
-}
-
-// The deprecated submit(span) wrappers still serve through the typed path.
-TEST(CodecServer, LegacySubmitWrappersStillServe) {
-  const auto training = quantized_walk(31, 256);
-  CodecServer server;
-  const StreamId s = server.open_stream(e2mc_stream("legacy", training));
-  const auto data = quantized_walk(59, 3);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  auto ticket = server.submit(s, std::span<const uint8_t>(data));
-#pragma GCC diagnostic pop
-  const Response res = ticket.wait();
-  EXPECT_TRUE(res.ok());
-  EXPECT_EQ(res.analysis.blocks.size(), 3u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include "common/rng.h"
 #include "compress/cpack.h"
+#include "reference_codecs.h"
 
 namespace slc {
 namespace {
@@ -72,7 +73,9 @@ TEST(Cpack, SmallDictionary) {
   EXPECT_EQ(c.code_bits(CpackCode::kMMMM), 4u);
   Block b;
   for (size_t i = 0; i < 32; ++i) b.set_word32(i, 0xBEEF0000u + static_cast<uint32_t>(i % 3));
-  EXPECT_EQ(c.decompress(c.compress(b.view()), kBlockBytes), b);
+  const auto cb = c.compress(b.view());
+  EXPECT_EQ(c.decompress(cb, kBlockBytes), b);
+  EXPECT_EQ(cb.payload, ref::cpack_compress(c, b.view()).payload);
 }
 
 TEST(Cpack, RandomDataFallsBackOrRoundTrips) {
@@ -98,6 +101,7 @@ TEST(CpackProperty, RoundTripValueLocality) {
     }
     const auto cb = c.compress(b.view());
     EXPECT_EQ(c.decompress(cb, kBlockBytes), b) << "trial " << trial;
+    EXPECT_EQ(cb.payload, ref::cpack_compress(c, b.view()).payload) << "trial " << trial;
   }
 }
 

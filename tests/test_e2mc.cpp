@@ -3,6 +3,7 @@
 
 #include "common/rng.h"
 #include "compress/e2mc.h"
+#include "reference_codecs.h"
 
 namespace slc {
 namespace {
@@ -100,6 +101,7 @@ TEST_F(E2mcTest, RoundTripTrainedData) {
     const Block b = block_from(data_, i);
     const auto cb = comp_->compress(b.view());
     EXPECT_EQ(comp_->decompress(cb, kBlockBytes), b) << "block " << i;
+    EXPECT_EQ(cb.payload, ref::e2mc_compress(*comp_, b.view()).payload) << "block " << i;
   }
 }
 

@@ -350,14 +350,14 @@ TEST(CachedDecision, CodecKeysIsolateConfigurationsAndModels) {
 
   const Block block = test::dedup_corpus({.blocks = 1, .seed = 40})[0];
   SlcCodec::CacheOutcome oc;
-  a.analyze(block.view(), oc);
+  a.decide_cached(block.view(), oc);
   EXPECT_TRUE(oc.probed);
   EXPECT_FALSE(oc.hit);
-  a.analyze(block.view(), oc);
+  a.decide_cached(block.view(), oc);
   EXPECT_TRUE(oc.hit);  // repeat through the same codec hits
-  b.analyze(block.view(), oc);
+  b.decide_cached(block.view(), oc);
   EXPECT_FALSE(oc.hit);  // different threshold: separate entry
-  c.analyze(block.view(), oc);
+  c.decide_cached(block.view(), oc);
   EXPECT_FALSE(oc.hit);  // different trained model: separate entry
 }
 

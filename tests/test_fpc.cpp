@@ -3,6 +3,7 @@
 
 #include "common/rng.h"
 #include "compress/fpc.h"
+#include "reference_codecs.h"
 
 namespace slc {
 namespace {
@@ -88,6 +89,7 @@ TEST(FpcProperty, RoundTripMixed) {
     const auto cb = c.compress(b.view());
     EXPECT_EQ(c.decompress(cb, kBlockBytes), b) << "trial " << trial;
     EXPECT_LE(cb.bit_size, kBlockBytes * 8);
+    EXPECT_EQ(cb.payload, ref::fpc_compress(b.view()).payload) << "trial " << trial;
   }
 }
 

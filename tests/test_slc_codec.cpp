@@ -7,6 +7,7 @@
 
 #include "common/rng.h"
 #include "core/slc_codec.h"
+#include "reference_codecs.h"
 
 namespace slc {
 namespace {
@@ -74,6 +75,7 @@ TEST_F(SlcCodecTest, LossyBlocksFitBudget) {
   for (size_t i = 0; i < 512; ++i) {
     const Block b = block(i);
     const auto cb = codec.compress(b.view());
+    EXPECT_EQ(cb.data.payload, ref::slc_compress(codec, b.view()).data.payload) << "block " << i;
     if (cb.info.lossy) {
       ++lossy_count;
       // The paper's core promise: a lossy block occupies the bit budget —

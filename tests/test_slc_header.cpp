@@ -1,10 +1,21 @@
 // SLC compressed-block header (Fig. 6): m + ss + len + 3 pdps = 32 bits.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/slc_header.h"
 
 namespace slc {
 namespace {
+
+// Writes `h` for the paper geometry (128 B, 4 ways) and returns the bytes.
+std::vector<uint8_t> written(const SlcHeader& h) {
+  std::vector<uint8_t> bytes(8);
+  BitWriter w(bytes.data());
+  h.write(w, 128, 4, 64);
+  bytes.resize(w.finish());
+  return bytes;
+}
 
 TEST(SlcHeader, BitsMatchFig6) {
   // 1 (m) + 6 (ss) + 4 (len) + 3*7 (pdp) = 32 bits for 128 B / 4 ways.
@@ -23,11 +34,8 @@ TEST(SlcHeader, RoundTripLossless) {
   h.way_offsets[1] = 17;
   h.way_offsets[2] = 43;
   h.way_offsets[3] = 101;
-  BitWriter w;
-  h.write(w, 128, 4, 64);
-  EXPECT_EQ(w.bit_size(), 32u);
-
-  auto bytes = w.bytes();
+  const auto bytes = written(h);
+  EXPECT_EQ(bytes.size(), 4u);
   BitReader r(bytes);
   const SlcHeader back = SlcHeader::read(r, 128, 4, 64);
   EXPECT_FALSE(back.lossy);
@@ -42,9 +50,7 @@ TEST(SlcHeader, RoundTripLossy) {
   h.lossy = true;
   h.start_symbol = 48;
   h.approx_count = 16;  // max: stored as 15 in the 4-bit field
-  BitWriter w;
-  h.write(w, 128, 4, 64);
-  auto bytes = w.bytes();
+  const auto bytes = written(h);
   BitReader r(bytes);
   const SlcHeader back = SlcHeader::read(r, 128, 4, 64);
   EXPECT_TRUE(back.lossy);
@@ -58,9 +64,7 @@ TEST(SlcHeader, AllLenValues) {
     h.lossy = true;
     h.start_symbol = static_cast<uint8_t>(count % 64);
     h.approx_count = count;
-    BitWriter w;
-    h.write(w, 128, 4, 64);
-    auto bytes = w.bytes();
+    const auto bytes = written(h);
     BitReader r(bytes);
     const SlcHeader back = SlcHeader::read(r, 128, 4, 64);
     EXPECT_EQ(back.approx_count, count);
@@ -70,10 +74,11 @@ TEST(SlcHeader, AllLenValues) {
 
 TEST(SlcHeader, ReaderLeavesPositionByteAligned) {
   SlcHeader h;
-  BitWriter w;
+  std::vector<uint8_t> bytes(8);
+  BitWriter w(bytes.data());
   h.write(w, 128, 4, 64);
   w.put(0xAB, 8);  // payload byte after the header
-  auto bytes = w.bytes();
+  bytes.resize(w.finish());
   BitReader r(bytes);
   SlcHeader::read(r, 128, 4, 64);
   EXPECT_EQ(r.position() % 8, 0u);
