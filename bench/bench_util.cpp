@@ -7,6 +7,7 @@
 #include <cstring>
 #include <mutex>
 #include <sstream>
+#include <thread>
 
 #include "common/block.h"
 #include "compress/simd_dispatch.h"
@@ -96,6 +97,7 @@ BenchReport::BenchReport(std::string bench_name) : name_(std::move(bench_name)) 
   meta_["cpu_avx2"] = simd::avx2_supported() ? "yes" : "no";
   meta_["simd_active"] = simd::active_level_name();
   meta_["force_scalar_env"] = simd::force_scalar_env() ? "1" : "0";
+  meta_["nproc"] = std::to_string(std::thread::hardware_concurrency());
 }
 
 Measurement& BenchReport::add(Measurement m) {

@@ -90,9 +90,10 @@ struct Measurement {
 class BenchReport {
  public:
   /// The report is stamped with host/dispatch metadata (simd_compiled,
-  /// cpu_avx2, simd_active, force_scalar_env — from slc::simd) at
-  /// construction, so BENCH_*.json records which kernel variant produced the
-  /// numbers and perf-gate diffs across hosts are interpretable.
+  /// cpu_avx2, simd_active, force_scalar_env — from slc::simd — and nproc,
+  /// the host's hardware concurrency) at construction, so BENCH_*.json
+  /// records which host and kernel variant produced the numbers and
+  /// perf-gate diffs across hosts are interpretable.
   explicit BenchReport(std::string bench_name);
 
   Measurement& add(Measurement m);

@@ -6,45 +6,52 @@ namespace slc {
 
 DramChannel::DramChannel(const GpuSimConfig& cfg, SimStats& stats) : cfg_(cfg), stats_(stats) {
   banks_.assign(cfg_.banks_per_mc, Bank{});
+  reads_.in_window.assign(cfg_.banks_per_mc, 0);
+  writes_.in_window.assign(cfg_.banks_per_mc, 0);
 }
 
-void DramChannel::locate(uint64_t addr, size_t* bank, uint64_t* row) const {
+void DramChannel::push(Queue& q, const DramRequest& r) {
   // Channel selection happens upstream; here `addr` is already channel-local
   // enough for bank/row purposes (we hash the full address). Consecutive
   // rows interleave across banks so streams get row locality and bank
   // parallelism.
-  const uint64_t chunk = addr / cfg_.row_bytes;
-  *bank = chunk % cfg_.banks_per_mc;
-  *row = chunk / cfg_.banks_per_mc;
+  const uint64_t chunk = r.addr / cfg_.row_bytes;
+  const auto bank = static_cast<uint32_t>(chunk % cfg_.banks_per_mc);
+  if (q.entries.size() < cfg_.scheduler_window) ++q.in_window[bank];
+  q.entries.push_back(Entry{r, bank, chunk / cfg_.banks_per_mc});
 }
 
-bool DramChannel::try_issue(std::deque<DramRequest>& q, uint64_t cycle) {
-  if (q.empty()) return false;
-  // FR-FCFS over the scheduler window: first pass looks for the oldest row
-  // hit on a ready bank; second pass takes the oldest request whose bank is
-  // ready.
-  auto pick = [&](bool require_hit) -> std::deque<DramRequest>::iterator {
-    size_t scanned = 0;
-    for (auto it = q.begin(); it != q.end() && scanned < cfg_.scheduler_window;
-         ++it, ++scanned) {
-      size_t b;
-      uint64_t row;
-      locate(it->addr, &b, &row);
-      const Bank& bank = banks_[b];
-      if (bank.ready_cycle > cycle) continue;
-      if (require_hit && !(bank.row_open && bank.open_row == row)) continue;
-      return it;
-    }
-    return q.end();
-  };
-  auto it = pick(true);
-  if (it == q.end()) it = pick(false);
-  if (it == q.end()) return false;
+bool DramChannel::try_issue(Queue& q, uint64_t cycle) {
+  // FR-FCFS over the scheduler window: the oldest row hit on a ready bank,
+  // else the oldest request whose bank is ready. The bank counts say how
+  // many window entries are candidates; with none, nothing can issue.
+  size_t candidates = 0;
+  for (size_t b = 0; b < banks_.size(); ++b)
+    if (banks_[b].ready_cycle <= cycle) candidates += q.in_window[b];
+  if (candidates == 0) return false;
 
-  size_t b;
-  uint64_t row;
-  locate(it->addr, &b, &row);
-  Bank& bank = banks_[b];
+  // One pass, ending at the first row hit or the last candidate (which lies
+  // inside the window).
+  auto it = q.entries.end();
+  for (auto cur = q.entries.begin(); candidates != 0; ++cur) {
+    const Bank& bank = banks_[cur->bank];
+    if (bank.ready_cycle > cycle) continue;
+    if (bank.row_open && bank.open_row == cur->row) {
+      it = cur;
+      break;
+    }
+    if (it == q.entries.end()) it = cur;
+    --candidates;
+  }
+
+  const DramRequest req = it->req;
+  const uint64_t row = it->row;
+  Bank& bank = banks_[it->bank];
+  // The issued entry leaves the window; the first entry past it slides in.
+  --q.in_window[it->bank];
+  if (q.entries.size() > cfg_.scheduler_window)
+    ++q.in_window[q.entries[cfg_.scheduler_window].bank];
+  q.entries.erase(it);
 
   uint64_t cmd_done = cycle;
   if (bank.row_open && bank.open_row == row) {
@@ -70,7 +77,7 @@ bool DramChannel::try_issue(std::deque<DramRequest>& q, uint64_t cycle) {
 
   // Bus occupancy in beats (16 B each).
   const uint64_t beats =
-      std::max<uint64_t>(1, static_cast<uint64_t>(it->bursts) * (cfg_.mag_bytes / 16));
+      std::max<uint64_t>(1, static_cast<uint64_t>(req.bursts) * (cfg_.mag_bytes / 16));
   const uint64_t xfer_cycles = (beats + cfg_.beats_per_cycle - 1) / cfg_.beats_per_cycle;
   const uint64_t start = std::max(data_ready, bus_free_cycle_);
   const uint64_t finish = start + xfer_cycles;
@@ -78,16 +85,15 @@ bool DramChannel::try_issue(std::deque<DramRequest>& q, uint64_t cycle) {
   // The bank is busy until its data phase ends.
   bank.ready_cycle = finish;
 
-  if (it->metadata) {
-    stats_.metadata_bursts += it->bursts;
-  } else if (it->write) {
-    stats_.dram_write_bursts += it->bursts;
+  if (req.metadata) {
+    stats_.metadata_bursts += req.bursts;
+  } else if (req.write) {
+    stats_.dram_write_bursts += req.bursts;
   } else {
-    stats_.dram_read_bursts += it->bursts;
+    stats_.dram_read_bursts += req.bursts;
   }
 
-  completions_.push_back(DramCompletion{it->tag, it->write, it->metadata, finish});
-  q.erase(it);
+  completions_.push_back(DramCompletion{req.tag, req.write, req.metadata, finish});
   return true;
 }
 
@@ -95,13 +101,13 @@ void DramChannel::tick(uint64_t cycle) {
   // Reads have priority; writes drain when no read can issue or the write
   // queue is past the watermark.
   bool issued = try_issue(reads_, cycle);
-  if (!issued || writes_.size() > cfg_.write_drain_watermark) {
+  if (!issued || writes_.entries.size() > cfg_.write_drain_watermark) {
     try_issue(writes_, cycle);
   }
 }
 
 uint64_t DramChannel::next_event_cycle(uint64_t now) const {
-  if (reads_.empty() && writes_.empty()) return UINT64_MAX;
+  if (reads_.entries.empty() && writes_.entries.empty()) return UINT64_MAX;
   // Earliest cycle at which try_issue could schedule something: the first
   // ready cycle among the banks *targeted* by queued requests (within the
   // FR-FCFS window — banks no queued request addresses cannot unblock the
@@ -110,18 +116,9 @@ uint64_t DramChannel::next_event_cycle(uint64_t now) const {
   // frees the pins even when every targeted bank is busy longer.
   const uint64_t floor_cycle = now + 1;
   uint64_t nxt = UINT64_MAX;
-  auto consider_queue = [&](const std::deque<DramRequest>& q) {
-    size_t scanned = 0;
-    for (auto it = q.begin(); it != q.end() && scanned < cfg_.scheduler_window;
-         ++it, ++scanned) {
-      size_t b;
-      uint64_t row;
-      locate(it->addr, &b, &row);
+  for (size_t b = 0; b < banks_.size(); ++b)
+    if (reads_.in_window[b] + writes_.in_window[b] != 0)
       nxt = std::min(nxt, std::max(banks_[b].ready_cycle, floor_cycle));
-    }
-  };
-  consider_queue(reads_);
-  consider_queue(writes_);
   if (bus_free_cycle_ > now) nxt = std::min(nxt, bus_free_cycle_);
   return nxt;
 }

@@ -2,6 +2,11 @@
 // (row hits first, then oldest), and a data bus tracked in 16 B beats so any
 // MAG (16/32/64 B) occupies the pins for exactly its transfer share.
 //
+// Bank and row are decoded once, at enqueue, and each queue counts its
+// in-window requests per bank, so a scheduling step costs O(banks) plus at
+// most one window scan. tests/reference_dram.h keeps the plain scan-based
+// model as the differential oracle.
+//
 // A burst of MAG bytes takes mag/16 beats; the bus moves `beats_per_cycle`
 // (2 by default -> 32 B per memory cycle per channel, Table II's 192.4 GB/s
 // across six channels).
@@ -37,16 +42,19 @@ class DramChannel {
  public:
   DramChannel(const GpuSimConfig& cfg, SimStats& stats);
 
-  void push_read(const DramRequest& r) { reads_.push_back(r); }
-  void push_write(const DramRequest& r) { writes_.push_back(r); }
+  /// Enqueue a request; bank and row are decoded here, once.
+  void push_read(const DramRequest& r) { push(reads_, r); }
+  void push_write(const DramRequest& r) { push(writes_, r); }
 
   /// Advances scheduling up to `cycle`; completed requests appear in
   /// completions(). Returns true if any work remains queued or in flight.
   void tick(uint64_t cycle);
 
-  bool busy() const { return !reads_.empty() || !writes_.empty() || !completions_.empty(); }
-  size_t read_queue_depth() const { return reads_.size(); }
-  size_t write_queue_depth() const { return writes_.size(); }
+  bool busy() const {
+    return !reads_.entries.empty() || !writes_.entries.empty() || !completions_.empty();
+  }
+  size_t read_queue_depth() const { return reads_.entries.size(); }
+  size_t write_queue_depth() const { return writes_.entries.size(); }
 
   std::deque<DramCompletion>& completions() { return completions_; }
   const std::deque<DramCompletion>& completions() const { return completions_; }
@@ -63,18 +71,35 @@ class DramChannel {
     uint64_t act_cycle = 0;    ///< when the open row was activated (tRAS)
   };
 
+  /// A queued request with its bank and row, decoded at enqueue.
+  struct Entry {
+    DramRequest req;
+    uint32_t bank = 0;
+    uint64_t row = 0;
+  };
+
+  /// One request queue (reads or writes) in arrival order.
+  /// Invariant: in_window[b] is the number of the first
+  /// min(entries.size(), scheduler_window) entries that target bank b — the
+  /// FR-FCFS candidates — so "is any candidate's bank ready?" and the next
+  /// event cost O(banks), not a window scan.
+  struct Queue {
+    std::deque<Entry> entries;
+    std::vector<uint32_t> in_window;
+  };
+
   const GpuSimConfig& cfg_;
   SimStats& stats_;
   std::vector<Bank> banks_;
   uint64_t bus_free_cycle_ = 0;
-  std::deque<DramRequest> reads_;
-  std::deque<DramRequest> writes_;
+  Queue reads_;
+  Queue writes_;
   std::deque<DramCompletion> completions_;
 
-  void locate(uint64_t addr, size_t* bank, uint64_t* row) const;
+  void push(Queue& q, const DramRequest& r);
   /// Issues one request if a bank + the bus can take it; returns true if
   /// something was scheduled.
-  bool try_issue(std::deque<DramRequest>& q, uint64_t cycle);
+  bool try_issue(Queue& q, uint64_t cycle);
 };
 
 }  // namespace slc

@@ -1,7 +1,14 @@
 // GDDR5 channel: FR-FCFS, row hits, bus occupancy in beats.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <tuple>
+
+#include "common/rng.h"
+#include "reference_dram.h"
 #include "sim/dram.h"
+#include "test_util.h"
 
 namespace slc {
 namespace {
@@ -219,6 +226,105 @@ TEST_F(DramFixture, BankConflictSlowerThanParallelBanks) {
   EXPECT_GT(t_conflict, t_par);
   EXPECT_EQ(s_conflict.row_misses, 4u);
 }
+
+// --- differential: window-count scheduler vs the scan-based reference ------
+
+// Seeded random reads, writes and metadata reads, arriving in bursts that
+// push the queues far past the scheduler window and then draining. Addresses
+// come from a few banks and rows, so row hits, same-bank row conflicts and
+// busy-bank stalls are all common. Time advances the way GpuSim advances it:
+// sometimes one cycle, sometimes straight to the channel's next event. After
+// every tick the two channels must hold the same completions, counters,
+// queue depths and next-event cycle.
+class DramDifferentialTest
+    : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
+
+TEST_P(DramDifferentialTest, MatchesReferenceScheduler) {
+  GpuSimConfig cfg;
+  cfg.scheduler_window = std::get<0>(GetParam());
+  cfg.write_drain_watermark = std::get<1>(GetParam());
+  for (const uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    SimStats got_stats, want_stats;
+    DramChannel got(cfg, got_stats);
+    ref::DramChannel want(cfg, want_stats);
+    Rng rng(seed);
+
+    auto random_request = [&](uint64_t tag) {
+      DramRequest r;
+      const uint64_t bank = rng.next_below(6);
+      const uint64_t row = rng.next_below(4);
+      const uint64_t col = rng.next_below(cfg.row_bytes / kBlockBytes) * kBlockBytes;
+      r.addr = (row * cfg.banks_per_mc + bank) * cfg.row_bytes + col;
+      r.bursts = static_cast<uint32_t>(1 + rng.next_below(cfg.max_bursts()));
+      r.tag = tag;
+      const uint64_t kind = rng.next_below(8);
+      r.write = kind < 3;
+      r.metadata = kind == 3;
+      if (r.metadata) r.bursts = 1;
+      return r;
+    };
+
+    uint64_t cycle = 0;
+    uint64_t tag = 0;
+    size_t max_depth = 0;
+    for (int step = 0; step < 6000; ++step) {
+      // Bursty arrivals: 1200-step phases alternate flood and drain.
+      const bool flood = (step / 1200) % 2 == 0;
+      const uint64_t arrivals = flood ? rng.next_below(4) : (rng.chance(0.05) ? 1 : 0);
+      for (uint64_t a = 0; a < arrivals; ++a) {
+        const DramRequest r = random_request(tag++);
+        if (r.write) {
+          got.push_write(r);
+          want.push_write(r);
+        } else {
+          got.push_read(r);
+          want.push_read(r);
+        }
+      }
+      max_depth = std::max({max_depth, got.read_queue_depth(), got.write_queue_depth()});
+
+      got.tick(cycle);
+      want.tick(cycle);
+      ASSERT_EQ(got_stats, want_stats) << "cycle " << cycle;
+      ASSERT_EQ(got.read_queue_depth(), want.read_queue_depth()) << "cycle " << cycle;
+      ASSERT_EQ(got.write_queue_depth(), want.write_queue_depth()) << "cycle " << cycle;
+      ASSERT_EQ(got.busy(), want.busy()) << "cycle " << cycle;
+      auto& gc = got.completions();
+      auto& wc = want.completions();
+      ASSERT_EQ(gc.size(), wc.size()) << "cycle " << cycle;
+      for (size_t i = 0; i < gc.size(); ++i) {
+        ASSERT_EQ(gc[i].tag, wc[i].tag) << "cycle " << cycle << " completion " << i;
+        ASSERT_EQ(gc[i].finish_cycle, wc[i].finish_cycle) << "cycle " << cycle;
+        ASSERT_EQ(gc[i].write, wc[i].write);
+        ASSERT_EQ(gc[i].metadata, wc[i].metadata);
+      }
+      while (!gc.empty() && gc.front().finish_cycle <= cycle) {
+        gc.pop_front();
+        wc.pop_front();
+      }
+      const uint64_t nxt = got.next_event_cycle(cycle);
+      ASSERT_EQ(nxt, want.next_event_cycle(cycle)) << "cycle " << cycle;
+      if (nxt != UINT64_MAX && rng.chance(0.5)) {
+        cycle = nxt;
+      } else {
+        cycle += 1 + rng.next_below(3);
+      }
+    }
+    EXPECT_GT(max_depth, 200u) << "the flood phases must queue far past the window";
+    EXPECT_GT(got_stats.row_hits, 0u);
+    EXPECT_GT(got_stats.row_misses, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WindowsAndWatermarks, DramDifferentialTest,
+    ::testing::Combine(::testing::Values(size_t{1}, size_t{4}, size_t{64}),
+                       ::testing::Values(size_t{0}, size_t{8}, size_t{32}, size_t{1000})),
+    [](const auto& info) {
+      return "Window" + std::to_string(std::get<0>(info.param)) + "Drain" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace slc

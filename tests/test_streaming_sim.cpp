@@ -12,20 +12,11 @@
 
 #include "sim/gpu_sim.h"
 #include "sim/trace_stream.h"
+#include "test_util.h"
 #include "workloads/workload.h"
 
 namespace slc {
 namespace {
-
-std::vector<KernelTrace> materialized_trace(const std::string& name) {
-  auto wl = make_workload(name, WorkloadScale::kTiny);
-  ApproxMemory mem;
-  wl->init(mem);
-  mem.commit_all();
-  wl->run(mem);
-  mem.flush();
-  return mem.take_trace();
-}
 
 // Runs `name` with its trace flowing through a bounded TraceStream into a
 // concurrently-draining GpuSim with `workers` shards.
@@ -50,7 +41,7 @@ SimStats streamed_run(const std::string& name, const GpuSimConfig& cfg) {
 class StreamingSimTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(StreamingSimTest, StreamingMatchesMaterializedAtOneAndManyWorkers) {
-  const std::vector<KernelTrace> trace = materialized_trace(GetParam());
+  const std::vector<KernelTrace> trace = test::materialized_trace(GetParam());
   ASSERT_FALSE(trace.empty());
   GpuSim ref(GpuSimConfig{});
   const SimStats want = ref.run(trace);

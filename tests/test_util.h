@@ -1,15 +1,35 @@
-// Shared fixtures for the registry/engine tests: deterministic
-// value-similar test data, the fingerprint-cache fuzz corpus generator, and
-// default codec options.
+// Shared fixtures for the registry/engine/sim tests: deterministic
+// value-similar test data, the fingerprint-cache fuzz corpus generator,
+// default codec options, and a workload's materialized trace.
 #pragma once
 
 #include <cmath>
+#include <ostream>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/block.h"
 #include "common/rng.h"
 #include "compress/codec_registry.h"
+#include "sim/sim_config.h"
+#include "workloads/workload.h"
+
+namespace slc {
+
+/// gtest printer: a failed SimStats comparison lists the counters by name.
+inline void PrintTo(const SimStats& s, std::ostream* os) {
+  *os << "{cycles " << s.cycles << ", kernels " << s.kernels << ", accesses " << s.accesses
+      << ", reads " << s.reads << ", writes " << s.writes << ", l1 " << s.l1_hits << "/"
+      << s.l1_misses << ", l2 " << s.l2_hits << "/" << s.l2_misses << ", l2_writebacks "
+      << s.l2_writebacks << ", dram r/w/meta " << s.dram_read_bursts << "/"
+      << s.dram_write_bursts << "/" << s.metadata_bursts << ", mdc " << s.mdc_hits << "/"
+      << s.mdc_misses << ", row " << s.row_hits << "/" << s.row_misses << ", decomp "
+      << s.decompressions << ", comp " << s.compressions << ", stream hwm "
+      << s.stream_chunk_hwm << "/" << s.stream_access_hwm << "}";
+}
+
+}  // namespace slc
 
 namespace slc::test {
 
@@ -102,6 +122,20 @@ inline CodecOptions test_options(std::span<const uint8_t> training) {
   opts.threshold_bytes = 16;
   opts.training_data = training;
   return opts;
+}
+
+// --- sim traces -------------------------------------------------------------
+
+/// The whole trace of one workload at WorkloadScale::kTiny, captured with
+/// the default (uncompressed) memory and materialized for replay.
+inline std::vector<KernelTrace> materialized_trace(const std::string& name) {
+  auto wl = make_workload(name, WorkloadScale::kTiny);
+  ApproxMemory mem;
+  wl->init(mem);
+  mem.commit_all();
+  wl->run(mem);
+  mem.flush();
+  return mem.take_trace();
 }
 
 }  // namespace slc::test
