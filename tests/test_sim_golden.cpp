@@ -1,11 +1,12 @@
 // Golden SimStats: every counter of a default-config replay of each Table
 // III workload, pinned at WorkloadScale::kTiny. The other sim suites compare
-// the simulator with itself (streaming vs materialized, 1 vs N workers);
+// the simulator with itself (streaming vs materialized, reused vs fresh);
 // this one fails when a change to the model moves any counter at all.
 // Update the table only with a deliberate, documented change to the model's
 // timing.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,10 @@ struct Golden {
   const char* workload;
   SimStats want;
 };
+
+// Without this gtest prints the raw bytes of the struct, workload pointer
+// included, so the listed test names would move with every relink.
+void PrintTo(const Golden& g, std::ostream* os) { *os << g.workload; }
 
 const Golden kGolden[] = {
     {"JM",
