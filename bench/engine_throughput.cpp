@@ -13,8 +13,9 @@
 //   CI perf artifacts.
 //
 // Also measures the TSLC-OPT region-commit kernel scalar vs batch: the same
-// ApproxMemory commits once through the per-block BlockCodec::process() loop
-// and once through process_batch (the staged SLC mode decision), inline (no
+// ApproxMemory commits once through the per-block reference policy
+// (tests/reference_codecs.h: one SLC decision per block) and once through
+// the library's process_batch (the staged SLC mode decision), inline (no
 // engine) so the row isolates the kernel, not thread scaling. The batch row's
 // speedup is gated in CI against bench/baselines/BENCH_engine.json.
 #include <chrono>
@@ -25,6 +26,7 @@
 
 #include "bench_util.h"
 #include "compress/block_codec.h"
+#include "reference_codecs.h"
 
 using namespace slc;
 using namespace slc::bench;
@@ -105,8 +107,8 @@ CommitRunResult run_commit_loop(bool pipelined, const CommitLoopConfig& cfg,
 // --- region-commit kernel: scalar vs batch ----------------------------------
 // Both paths run the identical commit sequence through ApproxMemory with no
 // engine (inline, single-threaded), so the only difference is whether the
-// commit kernel hands each block to BlockCodec::process() or the whole range
-// to process_batch().
+// commit decides one block at a time (the per-block reference policy) or
+// the whole range at once (the library's process_batch()).
 
 struct RegionCommitResult {
   Measurement m;
@@ -190,8 +192,8 @@ int main(int argc, char** argv) try {
   // 1-thread reference: every other configuration must reproduce these
   // decisions bit for bit.
   CodecEngine reference_engine(1);
-  const auto reference = reference_engine.analyze_stream(*comp, blocks, kDefaultMagBytes);
-  const auto reference_payloads = reference_engine.compress_stream(*comp, blocks);
+  const auto reference = reference_engine.submit_analyze(*comp, blocks, kDefaultMagBytes).wait();
+  const auto reference_payloads = reference_engine.submit_compress(*comp, blocks).wait();
 
   // Every row — human table and BENCH_engine.json alike — comes out of the
   // same Measurement structs, so the two cannot drift.
@@ -206,9 +208,9 @@ int main(int argc, char** argv) try {
     std::vector<CompressedBlock> payloads;
     Measurement ma = measure_kernel(
         scheme, "analyze", path, blocks.size(), kScalingReps,
-        [&] { analysis = engine.analyze_stream(*comp, blocks, kDefaultMagBytes); });
+        [&] { analysis = engine.submit_analyze(*comp, blocks, kDefaultMagBytes).wait(); });
     Measurement mc = measure_kernel(scheme, "compress", path, blocks.size(), kScalingReps,
-                                    [&] { payloads = engine.compress_stream(*comp, blocks); });
+                                    [&] { payloads = engine.submit_compress(*comp, blocks).wait(); });
 
     bool identical = analysis.ratios.raw_ratio() == reference.ratios.raw_ratio() &&
                      analysis.ratios.effective_ratio() == reference.ratios.effective_ratio() &&
@@ -284,14 +286,14 @@ int main(int argc, char** argv) try {
     return 1;
   }
 
-  // --- region-commit kernel: scalar process() loop vs process_batch --------
+  // --- region-commit kernel: per-block reference vs process_batch ----------
   constexpr size_t kRcRegions = 4, kRcBlocks = 512, kRcReps = 10;
-  std::printf("\nRegion-commit kernel — per-block BlockCodec::process() vs process_batch\n");
+  std::printf("\nRegion-commit kernel — per-block reference policy vs process_batch\n");
   std::printf("(batched SLC mode decision), TSLC-OPT, threshold 16 B, inline commits,\n");
   std::printf("%zu regions x %zu blocks, %zu repetitions\n\n", kRcRegions, kRcBlocks, kRcReps);
 
   const auto scalar_rc =
-      run_region_commits("scalar", std::make_shared<ScalarOnlyBlockCodec>(codec),
+      run_region_commits("scalar", ref::per_block_policy(codec),
                          workload_image_cached(benchmark), kRcRegions, kRcBlocks, kRcReps);
   const auto batch_rc = run_region_commits("batch", codec, workload_image_cached(benchmark),
                                            kRcRegions, kRcBlocks, kRcReps);

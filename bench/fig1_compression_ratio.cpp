@@ -35,12 +35,12 @@ int main() {
   TextTable table(header);
 
   for (const std::string& name : names) {
-    const std::vector<uint8_t>& image = workload_image_cached(name);
+    const std::vector<Block> blocks = to_blocks(workload_image_cached(name));
     std::vector<std::string> cells = {name};
     for (size_t s = 0; s < schemes.size(); ++s) {
       const auto comp =
           CodecRegistry::instance().create(schemes[s], codec_options_for(name, kDefaultMagBytes, 16));
-      const auto res = engine.analyze_bytes(*comp, image, kDefaultMagBytes);
+      const auto res = engine.submit_analyze(*comp, blocks, kDefaultMagBytes).wait();
       rows[s].raw.push_back(res.ratios.raw_ratio());
       rows[s].eff.push_back(res.ratios.effective_ratio());
       cells.push_back(TextTable::fmt(res.ratios.raw_ratio(), 2));

@@ -31,7 +31,7 @@ int main() {
     const auto e2mc =
         CodecRegistry::instance().create("E2MC", codec_options_for(name, mag, 16));
     const std::vector<uint8_t>& image = workload_image_cached(name);
-    const auto res = engine.analyze_bytes(*e2mc, image, mag);
+    const auto res = engine.submit_analyze(*e2mc, to_blocks(image), mag).wait();
 
     Histogram h;
     for (const BlockAnalysis& a : res.blocks) {

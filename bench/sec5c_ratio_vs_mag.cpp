@@ -28,7 +28,7 @@ int main() {
     const std::vector<uint8_t>& image = workload_image_cached(name);
     // One size-only engine pass; the per-MAG rounding happens in the
     // accumulators (raw bits do not depend on MAG).
-    const auto res = engine.analyze_bytes(*e2mc, image, kDefaultMagBytes);
+    const auto res = engine.submit_analyze(*e2mc, to_blocks(image), kDefaultMagBytes).wait();
 
     std::vector<std::string> cells = {name};
     double raw = 0;

@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
     std::printf("%-8s %10s %10s\n", "scheme", "raw", "effective");
     for (const std::string& name : CodecRegistry::instance().lossless_names()) {
       const auto comp = CodecRegistry::instance().create(name, opts);
-      const auto res = engine.analyze_bytes(*comp, image, mag);
+      const auto res = engine.submit_analyze(*comp, blocks, mag).wait();
       std::printf("%-8s %10.3f %10.3f\n", name.c_str(), res.ratios.raw_ratio(),
                   res.ratios.effective_ratio());
     }

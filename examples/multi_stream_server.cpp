@@ -10,9 +10,10 @@
 //
 // Each stream keeps its own registry-selected codec, error budget
 // (threshold_bytes) and stats; requests coalesce into engine-sized batches;
-// drain() is the barrier. All three streams opt into the engine's shared
-// fingerprint memo (CacheMode::kShared), so the commits client's retry
-// resubmission dedups against its first copy. The commits client also shows
+// drain() is the barrier. The E2MC and TSLC-OPT streams attach the engine's
+// shared fingerprint memo (options.fingerprint_cache; only the lossy stream
+// has decisions to memoize), so the commits client's retry resubmission
+// dedups against its first copy. The commits client also shows
 // the typed Request surface: a kCompress request returning real payloads
 // under a deadline, and a kReject stream shedding at saturation. The final
 // table prints per-stream CommitStats, the memo hit rate, latency
@@ -68,14 +69,12 @@ int main() {
   std::printf("server: %u engine worker(s), batch %zu blocks, budget %zu blocks\n\n",
               server.engine().num_threads(), cfg.batch_blocks, cfg.max_inflight_blocks);
 
+  // Attach the streams to the engine-wide fingerprint memo: repeated block
+  // content skips the Fig. 4 probe and shows up in the hit-rate column.
+  opts.fingerprint_cache = cfg.engine->fingerprint_cache();
   StreamConfig sweep{"sweep", "E2MC", opts, StreamPriority::kBulk};
   StreamConfig commits{"commits", "TSLC-OPT", opts, StreamPriority::kLatency};
   StreamConfig probe{"probe", "BDI", CodecOptions{.mag_bytes = 32}, StreamPriority::kNormal};
-  // Opt every stream into the engine-wide fingerprint memo: repeated block
-  // content skips the Fig. 4 probe and shows up in the hit-rate column.
-  sweep.cache_mode = CacheMode::kShared;
-  commits.cache_mode = CacheMode::kShared;
-  probe.cache_mode = CacheMode::kShared;
   // The probe stream sheds rather than queues when the budget saturates —
   // the policy a best-effort diagnostic client wants.
   probe.admission = AdmissionPolicy::kReject;

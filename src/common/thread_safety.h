@@ -63,10 +63,6 @@
 /// Function releases the capability (held on entry, not on exit).
 #define SLC_RELEASE(...) SLC_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
 
-/// Function acquires the capability iff it returns `ret`.
-#define SLC_TRY_ACQUIRE(ret, ...) \
-  SLC_THREAD_ANNOTATION(try_acquire_capability(ret, __VA_ARGS__))
-
 /// Caller must hold the capability across the call (held before and after).
 #define SLC_REQUIRES(...) SLC_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
 
@@ -90,7 +86,7 @@
 
 namespace slc {
 
-/// std::mutex as a declared capability. Satisfies BasicLockable/Lockable, so
+/// std::mutex as a declared capability. Satisfies BasicLockable, so
 /// it composes with std::condition_variable_any (see CondVar) — but the
 /// annotated concurrent stack takes it through MutexLock, never through
 /// std::lock_guard/std::unique_lock, which the analysis cannot see into.
@@ -102,7 +98,6 @@ class SLC_CAPABILITY("mutex") Mutex {
 
   void lock() SLC_ACQUIRE() { m_.lock(); }
   void unlock() SLC_RELEASE() { m_.unlock(); }
-  bool try_lock() SLC_TRY_ACQUIRE(true) { return m_.try_lock(); }
 
  private:
   std::mutex m_;

@@ -4,16 +4,9 @@
 
 namespace slc {
 
-void BlockCodec::process_batch(std::span<const BlockView> blocks, bool safe_to_approx,
-                               size_t threshold_bytes, BlockCodecResult* out) const {
-  for (size_t i = 0; i < blocks.size(); ++i)
-    out[i] = process(blocks[i], safe_to_approx, threshold_bytes);
-}
-
 namespace {
 
-/// The one fixed-cost RAW result, shared by the scalar and batch paths so
-/// the two cannot drift.
+/// The one fixed-cost RAW result.
 BlockCodecResult raw_result(BlockView block, size_t mag_bytes) {
   BlockCodecResult r;
   r.bursts = block.size() / mag_bytes;
@@ -26,21 +19,15 @@ BlockCodecResult raw_result(BlockView block, size_t mag_bytes) {
 
 }  // namespace
 
-BlockCodecResult RawBlockCodec::process(BlockView block, bool, size_t) const {
-  return raw_result(block, mag_bytes());
-}
-
 void RawBlockCodec::process_batch(std::span<const BlockView> blocks, bool, size_t,
                                   BlockCodecResult* out) const {
-  // No per-block decision to make: fill the fixed-cost results without the
-  // virtual dispatch per block.
+  // No per-block decision to make: fill the fixed-cost results.
   for (size_t i = 0; i < blocks.size(); ++i) out[i] = raw_result(blocks[i], mag_bytes());
 }
 
 namespace {
 
-/// Maps one lossless size analysis onto the policy result (shared by the
-/// scalar and batch paths so the two cannot drift).
+/// Maps one lossless size analysis onto the policy result.
 BlockCodecResult lossless_result(const BlockAnalysis& a, BlockView block, size_t mag) {
   BlockCodecResult r;
   r.lossless_bits = a.bit_size;
@@ -53,15 +40,11 @@ BlockCodecResult lossless_result(const BlockAnalysis& a, BlockView block, size_t
 
 }  // namespace
 
-BlockCodecResult LosslessBlockCodec::process(BlockView block, bool, size_t) const {
-  // Size-only path: no payload is needed for a lossless codec (the roundtrip
-  // identity is enforced separately by the unit tests).
-  return lossless_result(comp_->analyze(block), block, mag_);
-}
-
 void LosslessBlockCodec::process_batch(std::span<const BlockView> blocks, bool, size_t,
                                        BlockCodecResult* out) const {
   // One batched size probe for the whole span, then the per-block mapping.
+  // Size-only: no payload is needed for a lossless codec (the roundtrip
+  // identity is enforced separately by the unit tests).
   std::vector<BlockAnalysis> analyses(blocks.size());
   comp_->analyze_batch(blocks, analyses.data());
   for (size_t i = 0; i < blocks.size(); ++i)

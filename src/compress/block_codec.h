@@ -7,8 +7,8 @@
 // CodecRegistry::create_block_codec().
 //   RawBlockCodec      — no compression (every block costs all bursts)
 //   LosslessBlockCodec — any lossless Compressor (E2MC baseline, BDI, ...)
-// process() returns the burst count (timing) and the block contents as the
-// GPU will later observe them (functional); only lossy codecs mutate.
+// process_batch() returns each block's burst count (timing) and its contents
+// as the GPU will later observe them (functional); only lossy codecs mutate.
 #pragma once
 
 #include <memory>
@@ -40,26 +40,18 @@ class BlockCodec {
  public:
   virtual ~BlockCodec() = default;
 
-  /// Compresses + decompresses one block. `safe_to_approx` and
-  /// `threshold_bytes` come from the region's extended-cudaMalloc annotation;
-  /// codecs without a lossy mode ignore them. Must be safe to call
-  /// concurrently from CodecEngine workers (all bundled policies are).
-  virtual BlockCodecResult process(BlockView block, bool safe_to_approx,
-                                   size_t threshold_bytes) const = 0;
-
-  /// Batched form of process(): fills out[0..blocks.size()) with exactly the
-  /// results the per-block scalar loop would produce (out[i] belongs to
-  /// blocks[i]). `safe_to_approx`/`threshold_bytes` apply to the whole span —
-  /// the region-commit shape, where every block shares the region's
-  /// annotation. The base implementation *is* the scalar loop (the oracle
-  /// the batch tests compare against); policies override it with
-  /// kernels that hoist per-block setup out of the loop. Overrides must be
-  /// byte-identical to the scalar loop for any input and any sub-range split
-  /// (pinned by tests/test_batch_kernels.cpp) and must keep scratch in the
-  /// call frame: a BlockCodec stays immutable after construction, so
-  /// concurrent CodecEngine shards may run the kernel on disjoint ranges.
+  /// Compresses + decompresses a span of blocks: fills out[0..blocks.size())
+  /// with each block's result (out[i] belongs to blocks[i]).
+  /// `safe_to_approx` and `threshold_bytes` come from the region's
+  /// extended-cudaMalloc annotation and apply to the whole span — the
+  /// region-commit shape, where every block shares the region's annotation;
+  /// codecs without a lossy mode ignore them. Results must not depend on how
+  /// a span is split (pinned against the per-block reference policy by
+  /// tests/test_batch_kernels.cpp), and scratch must stay in the call frame:
+  /// a BlockCodec stays immutable after construction, so concurrent
+  /// CodecEngine shards may run it on disjoint ranges.
   virtual void process_batch(std::span<const BlockView> blocks, bool safe_to_approx,
-                             size_t threshold_bytes, BlockCodecResult* out) const;
+                             size_t threshold_bytes, BlockCodecResult* out) const = 0;
 
   virtual size_t mag_bytes() const = 0;
   virtual std::string name() const = 0;
@@ -74,7 +66,6 @@ class BlockCodec {
 class RawBlockCodec final : public BlockCodec {
  public:
   explicit RawBlockCodec(size_t mag_bytes = kDefaultMagBytes) : mag_(mag_bytes) {}
-  BlockCodecResult process(BlockView block, bool, size_t) const override;
   void process_batch(std::span<const BlockView> blocks, bool safe_to_approx,
                      size_t threshold_bytes, BlockCodecResult* out) const override;
   size_t mag_bytes() const override { return mag_; }
@@ -90,37 +81,17 @@ class LosslessBlockCodec final : public BlockCodec {
   LosslessBlockCodec(std::shared_ptr<const Compressor> comp,
                      size_t mag_bytes = kDefaultMagBytes)
       : comp_(std::move(comp)), mag_(mag_bytes) {}
-  BlockCodecResult process(BlockView block, bool, size_t) const override;
   /// Delegates the size pass to the compressor's analyze_batch kernel, so
   /// region commits run at batch speed.
   void process_batch(std::span<const BlockView> blocks, bool safe_to_approx,
                      size_t threshold_bytes, BlockCodecResult* out) const override;
   size_t mag_bytes() const override { return mag_; }
   std::string name() const override { return comp_->name(); }
+  const Compressor& compressor() const { return *comp_; }
 
  private:
   std::shared_ptr<const Compressor> comp_;
   size_t mag_;
-};
-
-/// Wraps any policy and forces the per-block scalar loop: process() forwards
-/// to the inner policy while process_batch stays the inherited base-class
-/// default. This is the oracle the batch-vs-scalar equivalence tests compare
-/// against and the "scalar" row of bench/engine_throughput's region-commit
-/// measurement — one definition so the two cannot drift.
-class ScalarOnlyBlockCodec final : public BlockCodec {
- public:
-  explicit ScalarOnlyBlockCodec(std::shared_ptr<const BlockCodec> inner)
-      : inner_(std::move(inner)) {}
-  BlockCodecResult process(BlockView block, bool safe_to_approx,
-                           size_t threshold_bytes) const override {
-    return inner_->process(block, safe_to_approx, threshold_bytes);
-  }
-  size_t mag_bytes() const override { return inner_->mag_bytes(); }
-  std::string name() const override { return inner_->name(); }
-
- private:
-  std::shared_ptr<const BlockCodec> inner_;
 };
 
 }  // namespace slc

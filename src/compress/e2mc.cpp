@@ -231,31 +231,39 @@ void E2mcCompressor::compress_batch(std::span<const BlockView> blocks,
   }
 }
 
-Block E2mcCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) const {
-  if (!cb.is_compressed) return raw_block(cb.payload, block_bytes);
-  const unsigned pdp = pdp_bits(block_bytes);
-  const size_t n_sym = block_bytes * 8 / kSymbolBits;
-  const size_t per_way = n_sym / cfg_.num_ways;
-  const size_t header_bytes = (header_bits(block_bytes) + 7) / 8;
-
-  BitReader hdr(cb.payload);
-  std::array<size_t, 8> way_off{};
-  way_off[0] = header_bytes;
-  for (unsigned i = 1; i < cfg_.num_ways; ++i) way_off[i] = hdr.get(pdp);
-
-  Block out(block_bytes);
+void E2mcCompressor::decode_ways(std::span<const uint8_t> payload,
+                                 std::span<const size_t> way_bytes, size_t skip_start,
+                                 size_t skip_count, Block& out) const {
+  const size_t per_way = out.view().num_symbols() / cfg_.num_ways;
   for (unsigned way = 0; way < cfg_.num_ways; ++way) {
-    BitReader r(cb.payload);
-    r.seek(way_off[way] * 8);
+    if (way_bytes[way] < way_bytes[0] || way_bytes[way] > payload.size())
+      throw std::invalid_argument("E2MC: way offset outside the payload");
+    BitReader r(payload);
+    r.seek(way_bytes[way] * 8);
     for (size_t s = way * per_way; s < (way + 1) * per_way; ++s) {
+      if (s >= skip_start && s < skip_start + skip_count) continue;  // not in the stream
       const auto step = code_.decode(static_cast<uint16_t>(r.peek(16)));
-      assert(step.bits > 0 && "invalid codeword");
+      if (step.bits == 0) throw std::invalid_argument("E2MC: invalid codeword");
       r.skip(step.bits);
       uint16_t sym = step.symbol;
       if (step.is_escape) sym = static_cast<uint16_t>(r.get(kSymbolBits));
       out.set_symbol(s, sym);
     }
+    if (r.position() > r.bit_size()) throw std::invalid_argument("E2MC: read past the payload");
   }
+}
+
+Block E2mcCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) const {
+  if (!cb.is_compressed) return raw_block(cb.payload, block_bytes);
+  const unsigned pdp = pdp_bits(block_bytes);
+
+  BitReader hdr(cb.payload);
+  std::array<size_t, 8> way_off{};
+  way_off[0] = (header_bits(block_bytes) + 7) / 8;
+  for (unsigned i = 1; i < cfg_.num_ways; ++i) way_off[i] = hdr.get(pdp);
+
+  Block out(block_bytes);
+  decode_ways(cb.payload, way_off, 0, 0, out);
   return out;
 }
 

@@ -76,6 +76,17 @@ class E2mcCompressor : public Compressor {
   WayLayout layout(std::span<const uint16_t> code_lens, size_t header_bits,
                    size_t skip_start = 0, size_t skip_count = 0) const;
 
+  /// The one way-decode loop of E2MC and SLC payloads: decodes way w from
+  /// byte way_bytes[w] of `payload` into the symbols of `out` it owns, except
+  /// symbols [skip_start, skip_start + skip_count), which are not in the
+  /// stream and stay untouched. way_bytes[0] is the end of the header, where
+  /// the ways region starts. Payloads arrive from outside the program, so
+  /// this throws std::invalid_argument on a way offset outside [way_bytes[0],
+  /// payload size], an invalid codeword, or a read past the end of the
+  /// payload.
+  void decode_ways(std::span<const uint8_t> payload, std::span<const size_t> way_bytes,
+                   size_t skip_start, size_t skip_count, Block& out) const;
+
   const HuffmanCode& code() const { return code_; }
   const E2mcConfig& config() const { return cfg_; }
 

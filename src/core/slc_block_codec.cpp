@@ -49,21 +49,6 @@ const SlcCodec& SlcBlockCodec::codec_for(bool safe_to_approx, size_t threshold_b
   return *slot;
 }
 
-BlockCodecResult SlcBlockCodec::process(BlockView block, bool safe_to_approx,
-                                        size_t threshold_bytes) const {
-  const SlcCodec& codec = codec_for(safe_to_approx, threshold_bytes);
-  // Run the Fig. 4 decision size-only — served from the fingerprint memo on
-  // repeat content; only the decision is needed either way, because the
-  // decoded contents come straight from it (window re-fill), the same
-  // payload-free decode the batch path runs.
-  BlockCodecResult r;
-  SlcCodec::CacheOutcome oc;
-  const SlcCodec::Decision d = codec.decide_cached(block, oc);
-  fill_result(r, d.info, oc);
-  r.decoded = codec.approx_decode(block, d);
-  return r;
-}
-
 void SlcBlockCodec::process_batch(std::span<const BlockView> blocks, bool safe_to_approx,
                                   size_t threshold_bytes, BlockCodecResult* out) const {
   const SlcCodec& codec = codec_for(safe_to_approx, threshold_bytes);
@@ -78,6 +63,7 @@ void SlcBlockCodec::process_batch(std::span<const BlockView> blocks, bool safe_t
     fill_result(r, d.info, outcomes[i]);
     // Only lossy blocks mutate, and their decoded contents come straight
     // from the decision (window re-fill) — no payload is built either way.
+    // Decisions are served from the fingerprint memo on repeat content.
     r.decoded = codec.approx_decode(blocks[i], d);
   }
 }

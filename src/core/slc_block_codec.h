@@ -17,8 +17,6 @@ namespace slc {
 class SlcBlockCodec final : public BlockCodec {
  public:
   SlcBlockCodec(std::shared_ptr<const E2mcCompressor> lossless, SlcConfig cfg);
-  BlockCodecResult process(BlockView block, bool safe_to_approx,
-                           size_t threshold_bytes) const override;
   /// Batched commit kernel: one SlcCodec::decide_batch pass for the whole
   /// span (staged E2MC length probe + per-block Fig. 4 decision), then
   /// payload materialization only for the blocks decided lossy.
@@ -27,6 +25,7 @@ class SlcBlockCodec final : public BlockCodec {
   size_t mag_bytes() const override { return cfg_.mag_bytes; }
   std::string name() const override { return to_string(cfg_.variant); }
   const SlcConfig& config() const { return cfg_; }
+  const std::shared_ptr<const E2mcCompressor>& lossless() const { return lossless_; }
 
  private:
   /// The codec a (safe, region threshold) pair runs through: the lossless

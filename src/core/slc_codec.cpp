@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <stdexcept>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -187,32 +188,6 @@ SlcEncodeInfo SlcCodec::analyze(BlockView block) const {
   return out;
 }
 
-SlcCodec::Decision SlcCodec::decide_cached(BlockView block, CacheOutcome& oc) const {
-  oc = CacheOutcome{};
-  FingerprintCache* c = active_cache();
-  if (c == nullptr) {
-    const auto lens = lossless_->code_lengths(block);
-    return decide(lens, block.size());
-  }
-  oc.probed = true;
-  const uint64_t fp = block_fingerprint(block.bytes());
-  Decision d;
-  switch (c->lookup(cache_key_, fp, block.bytes(), d)) {
-    case FingerprintCache::Lookup::kHit:
-      oc.hit = true;
-      return d;
-    case FingerprintCache::Lookup::kCollision:
-      oc.collision = true;
-      break;
-    case FingerprintCache::Lookup::kMiss:
-      break;
-  }
-  const auto lens = lossless_->code_lengths(block);
-  d = decide(lens, block.size());
-  oc.evicted = c->insert(cache_key_, fp, block.bytes(), d);
-  return d;
-}
-
 void SlcCodec::decide_batch(std::span<const BlockView> blocks, LengthScratch& scratch,
                             Decision* out) const {
   // One staged probe for the whole span (the E2MC batched sizing pass), then
@@ -366,34 +341,21 @@ Block SlcCodec::decompress(const SlcCompressedBlock& cb, size_t block_bytes) con
   if (!cb.data.is_compressed) return raw_block(cb.data.payload, block_bytes);
   const unsigned num_ways = lossless_->config().num_ways;
   const size_t n_sym = block_bytes * 8 / kSymbolBits;
-  const size_t per_way = n_sym / num_ways;
-  const HuffmanCode& code = lossless_->code();
 
   BitReader hdr_reader(cb.data.payload);
   const SlcHeader h = SlcHeader::read(hdr_reader, block_bytes, num_ways, n_sym);
   const size_t skip_start = h.lossy ? h.start_symbol : 0;
   const size_t skip_count = h.lossy ? h.approx_count : 0;
+  if (skip_start + skip_count > n_sym)
+    throw std::invalid_argument("SLC: approximated window past the block");
 
   Block out(block_bytes);
   std::array<size_t, 8> way_off{};
   way_off[0] = SlcHeader::padded_bytes(block_bytes, num_ways, n_sym);
   for (unsigned i = 1; i < num_ways; ++i) way_off[i] = h.way_offsets[i];
-
-  for (unsigned way = 0; way < num_ways; ++way) {
-    BitReader r(cb.data.payload);
-    r.seek(way_off[way] * 8);
-    for (size_t s = way * per_way; s < (way + 1) * per_way; ++s) {
-      if (s >= skip_start && s < skip_start + skip_count) {
-        continue;  // not in the stream; fill_approximated() writes it below
-      }
-      const auto step = code.decode(static_cast<uint16_t>(r.peek(16)));
-      assert(step.bits > 0 && "invalid codeword");
-      r.skip(step.bits);
-      uint16_t sym = step.symbol;
-      if (step.is_escape) sym = static_cast<uint16_t>(r.get(kSymbolBits));
-      out.set_symbol(s, sym);
-    }
-  }
+  // The window's symbols are not in the stream; fill_approximated() writes
+  // them below.
+  lossless_->decode_ways(cb.data.payload, way_off, skip_start, skip_count, out);
 
   if (h.lossy && skip_count > 0) fill_approximated(out, skip_start, skip_count);
   return out;

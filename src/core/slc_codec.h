@@ -132,9 +132,6 @@ class SlcCodec {
     bool collision = false;  ///< verify-on-hit content mismatch (fp collision)
   };
 
-  /// One-block memoized decision (the scalar process()/analyze() path).
-  Decision decide_cached(BlockView block, CacheOutcome& oc) const;
-
   /// Batched memoized decision: hits and in-batch duplicates skip the probe;
   /// the remaining distinct misses run through one decide_batch() over
   /// `scratch`. out[i] is identical to decide_batch()'s out[i] for every

@@ -213,130 +213,50 @@ void CodecEngine::worker_loop(unsigned id) {
   }
 }
 
-CodecFuture<void> CodecEngine::submit(size_t count,
-                                      std::function<void(size_t, size_t, unsigned)> body,
-                                      int priority,
-                                      std::chrono::steady_clock::time_point deadline) {
-  return submit_job<void>(count, std::move(body), {}, priority, deadline);
-}
-
-CodecFuture<CodecEngine::StreamAnalysis> CodecEngine::submit_analyze_indexed(
-    size_t n_blocks, size_t mag_bytes,
-    std::function<void(size_t, size_t, BlockAnalysis*)> produce,
-    std::function<size_t(size_t)> original_bits, int priority) {
-  struct WorkerStats {
-    RatioAccumulator ratios;
-    uint64_t lossy = 0;
-    uint64_t truncated = 0;
-    CacheCounters cache;
-  };
+CodecFuture<CodecEngine::StreamAnalysis> CodecEngine::submit_analyze(const Compressor& comp,
+                                                                     std::span<const Block> blocks,
+                                                                     size_t mag_bytes,
+                                                                     int priority) {
   // The job context owns everything the shards touch; the future's finalize
-  // keeps it alive until the merged result is materialized.
+  // keeps it alive until the merged result is materialized. Each worker
+  // folds its shards into its own partial, merged in worker order on wait().
   struct Ctx {
     StreamAnalysis out;
-    std::vector<WorkerStats> per_worker;
-    std::function<void(size_t, size_t, BlockAnalysis*)> produce;
-    std::function<size_t(size_t)> original_bits;
+    std::vector<StreamAnalysis> per_worker;
   };
   auto ctx = std::make_shared<Ctx>();
-  ctx->out.blocks.resize(n_blocks);
+  ctx->out.blocks.resize(blocks.size());
   ctx->out.ratios = RatioAccumulator(mag_bytes);
-  WorkerStats seed;
+  StreamAnalysis seed;
   seed.ratios = RatioAccumulator(mag_bytes);
   ctx->per_worker.assign(num_threads(), seed);
-  ctx->produce = std::move(produce);
-  ctx->original_bits = std::move(original_bits);
 
-  return submit_job<StreamAnalysis>(
-      n_blocks,
-      [ctx](size_t begin, size_t end, unsigned worker) {
-        ctx->produce(begin, end, ctx->out.blocks.data() + begin);
-        WorkerStats& ws = ctx->per_worker[worker];
-        for (size_t i = begin; i < end; ++i) {
-          const BlockAnalysis& a = ctx->out.blocks[i];
-          ws.ratios.add(ctx->original_bits(i), a.bit_size);
-          ws.lossy += a.lossy ? 1 : 0;
-          ws.truncated += a.truncated_symbols;
-          ws.cache.record(a.cache_probed, a.cache_hit, a.cache_evicted, a.cache_collision);
-        }
+  return submit<StreamAnalysis>(
+      blocks.size(),
+      [ctx, &comp, blocks](size_t begin, size_t end, unsigned worker) {
+        // Every shard goes through the compressor's batch kernel, writing
+        // straight into the index-aligned result slots.
+        comp.analyze_batch(to_views(blocks.subspan(begin, end - begin)),
+                           ctx->out.blocks.data() + begin);
+        StreamAnalysis& ws = ctx->per_worker[worker];
+        for (size_t i = begin; i < end; ++i) ws.add(ctx->out.blocks[i], blocks[i].size() * 8);
       },
       [ctx]() {
-        for (const WorkerStats& ws : ctx->per_worker) {
-          ctx->out.ratios.merge(ws.ratios);
-          ctx->out.lossy_blocks += ws.lossy;
-          ctx->out.truncated_symbols += ws.truncated;
-          ctx->out.cache.merge(ws.cache);
-        }
+        for (const StreamAnalysis& ws : ctx->per_worker) ctx->out.merge(ws);
         return std::move(ctx->out);
       },
       priority);
 }
 
-CodecFuture<CodecEngine::StreamAnalysis> CodecEngine::submit_analyze(const Compressor& comp,
-                                                                     std::span<const Block> blocks,
-                                                                     size_t mag_bytes,
-                                                                     int priority) {
-  return submit_analyze_indexed(
-      blocks.size(), mag_bytes,
-      [&comp, blocks](size_t begin, size_t end, BlockAnalysis* dst) {
-        // Every shard goes through the compressor's batch kernel, writing
-        // straight into the index-aligned result slots.
-        comp.analyze_batch(to_views(blocks.subspan(begin, end - begin)), dst);
-      },
-      [blocks](size_t i) { return blocks[i].size() * 8; }, priority);
-}
-
 CodecFuture<std::vector<CompressedBlock>> CodecEngine::submit_compress(
     const Compressor& comp, std::span<const Block> blocks, int priority) {
   auto out = std::make_shared<std::vector<CompressedBlock>>(blocks.size());
-  return submit_job<std::vector<CompressedBlock>>(
+  return submit<std::vector<CompressedBlock>>(
       blocks.size(),
       [out, &comp, blocks](size_t begin, size_t end, unsigned) {
         comp.compress_batch(to_views(blocks.subspan(begin, end - begin)), out->data() + begin);
       },
       [out]() { return std::move(*out); }, priority);
-}
-
-CodecEngine::StreamAnalysis CodecEngine::analyze_stream(const Compressor& comp,
-                                                        std::span<const Block> blocks,
-                                                        size_t mag_bytes) {
-  return submit_analyze(comp, blocks, mag_bytes).wait();
-}
-
-CodecEngine::StreamAnalysis CodecEngine::analyze_bytes(const Compressor& comp,
-                                                       std::span<const uint8_t> data,
-                                                       size_t mag_bytes, size_t block_bytes) {
-  const size_t n_blocks = (data.size() + block_bytes - 1) / block_bytes;
-  return submit_analyze_indexed(
-             n_blocks, mag_bytes,
-             [&comp, data, block_bytes](size_t begin, size_t end, BlockAnalysis* dst) {
-               // Views straight over the flat buffer — the batch kernel sees
-               // the whole shard, same as the Block-stream path. Only a
-               // ragged tail block needs padded storage (zero-padded like
-               // to_blocks(pad_tail = true)); it lives in this frame for the
-               // duration of the kernel call.
-               std::vector<BlockView> views;
-               views.reserve(end - begin);
-               Block padded(block_bytes);
-               for (size_t b = begin; b < end; ++b) {
-                 const size_t off = b * block_bytes;
-                 if (off + block_bytes <= data.size()) {
-                   views.push_back(BlockView(data.subspan(off, block_bytes)));
-                 } else {
-                   std::copy(data.begin() + static_cast<ptrdiff_t>(off), data.end(),
-                             padded.mutable_bytes().begin());
-                   views.push_back(padded.view());
-                 }
-               }
-               comp.analyze_batch(views, dst);
-             },
-             [block_bytes](size_t) { return block_bytes * 8; }, 0)
-      .wait();
-}
-
-std::vector<CompressedBlock> CodecEngine::compress_stream(const Compressor& comp,
-                                                          std::span<const Block> blocks) {
-  return submit_compress(comp, blocks).wait();
 }
 
 }  // namespace slc

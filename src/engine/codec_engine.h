@@ -20,15 +20,17 @@
 // change any job's result; priority reorders *which job's shards run next*,
 // never anything inside a job's result.
 //
-// Two modes, matching the consumers:
-//   * full-payload  — compress_stream()/submit_compress(): every block's bit
-//                     stream (the functional path / roundtrip studies)
-//   * size-only     — analyze_stream()/analyze_bytes()/submit_analyze():
-//                     sizes + ratios only (the simulator's and the ratio
-//                     benches' common case)
-// The synchronous entry points are thin wrappers: submit + wait. The generic
-// submit()/submit_job() underlie ApproxMemory::commit_async() and the
-// CodecServer's batch dispatch (src/server/).
+// Three entry points:
+//   * submit<T>()        — a generic job: a shard body plus an optional
+//                          finalize that merges per-worker state into the
+//                          job's result (ApproxMemory::commit_async() and the
+//                          CodecServer's batch dispatch, src/server/)
+//   * submit_analyze()   — size-only: per-block analyses plus the merged
+//                          StreamAnalysis (the simulator's and the ratio
+//                          benches' common case)
+//   * submit_compress()  — full payload: every block's bit stream (the
+//                          functional path / roundtrip studies)
+// A synchronous caller waits on the returned future: submit_*(...).wait().
 #pragma once
 
 #include <chrono>
@@ -218,22 +220,17 @@ class CodecEngine {
   // rethrows, and other jobs and the pool are unaffected.
 
   /// Enqueues body(begin, end, worker_id) over disjoint shards covering
-  /// [0, count) and returns immediately. `deadline` orders claims within the
-  /// job's priority band (earliest first) — purely a scheduling hint; a
-  /// job past its deadline still runs.
-  CodecFuture<void> submit(size_t count,
-                           std::function<void(size_t begin, size_t end, unsigned worker_id)> body,
-                           int priority = 0,
-                           std::chrono::steady_clock::time_point deadline = kNoDeadline);
-
-  /// Generalized submit: `finalize` runs once on the thread that waits, after
-  /// every shard completed — the place to merge per-worker accumulators into
-  /// the job's result (keeping the determinism contract).
-  template <typename T>
-  CodecFuture<T> submit_job(size_t count,
-                            std::function<void(size_t begin, size_t end, unsigned worker_id)> body,
-                            std::function<T()> finalize, int priority = 0,
-                            std::chrono::steady_clock::time_point deadline = kNoDeadline);
+  /// [0, count) and returns immediately. `finalize`, when set, runs once on
+  /// the thread that waits, after every shard completed — the place to merge
+  /// per-worker accumulators into the job's result (keeping the determinism
+  /// contract); a job with a result type T must set it. `deadline` orders
+  /// claims within the job's priority band (earliest first) — purely a
+  /// scheduling hint; a job past its deadline still runs.
+  template <typename T = void>
+  CodecFuture<T> submit(size_t count,
+                        std::function<void(size_t begin, size_t end, unsigned worker_id)> body,
+                        std::function<T()> finalize = {}, int priority = 0,
+                        std::chrono::steady_clock::time_point deadline = kNoDeadline);
 
   /// Size-only sweep of a block stream: per-block analyses plus the merged
   /// raw/effective ratio bookkeeping at `mag_bytes`.
@@ -245,6 +242,23 @@ class CodecEngine {
     /// Fingerprint-memo outcomes folded over the stream (all zero for
     /// uncached codecs). NOT thread-count invariant — see CacheCounters.
     CacheCounters cache;
+
+    /// Folds one block's analysis into the aggregates (`blocks` untouched);
+    /// `original_bits` is the block's uncompressed size.
+    void add(const BlockAnalysis& a, size_t original_bits) {
+      ratios.add(original_bits, a.bit_size);
+      lossy_blocks += a.lossy ? 1 : 0;
+      truncated_symbols += a.truncated_symbols;
+      cache.record(a.cache_probed, a.cache_hit, a.cache_evicted, a.cache_collision);
+    }
+    /// Folds another partial's aggregates in (`blocks` untouched). Integer
+    /// counters only, so merge order never changes the result.
+    void merge(const StreamAnalysis& o) {
+      ratios.merge(o.ratios);
+      lossy_blocks += o.lossy_blocks;
+      truncated_symbols += o.truncated_symbols;
+      cache.merge(o.cache);
+    }
   };
 
   /// Async size-only sweep. `comp` and the storage behind `blocks` must stay
@@ -257,20 +271,6 @@ class CodecEngine {
                                                             std::span<const Block> blocks,
                                                             int priority = 0);
 
-  // --- synchronous wrappers (submit + wait) --------------------------------
-
-  StreamAnalysis analyze_stream(const Compressor& comp, std::span<const Block> blocks,
-                                size_t mag_bytes = kDefaultMagBytes);
-  /// Same, over a flat buffer sliced into 128 B views without copying (a
-  /// short tail is zero-padded into a final full block, like to_blocks).
-  StreamAnalysis analyze_bytes(const Compressor& comp, std::span<const uint8_t> data,
-                               size_t mag_bytes = kDefaultMagBytes,
-                               size_t block_bytes = kBlockBytes);
-
-  /// Full-payload sweep: every block compressed, results index-aligned.
-  std::vector<CompressedBlock> compress_stream(const Compressor& comp,
-                                               std::span<const Block> blocks);
-
  private:
   void worker_loop(unsigned id);
 
@@ -278,14 +278,6 @@ class CodecEngine {
   std::shared_ptr<detail::EngineJob> enqueue(
       size_t count, std::function<void(size_t, size_t, unsigned)> body, int priority,
       std::chrono::steady_clock::time_point deadline = kNoDeadline);
-
-  /// Shared core of the analyze entry points: `produce` fills the analyses
-  /// for one shard into the index-aligned slots, `original_bits` sizes block
-  /// i for the ratio bookkeeping; per-worker stats merge on wait().
-  CodecFuture<StreamAnalysis> submit_analyze_indexed(
-      size_t n_blocks, size_t mag_bytes,
-      std::function<void(size_t begin, size_t end, BlockAnalysis* out)> produce,
-      std::function<size_t(size_t)> original_bits, int priority);
 
   unsigned n_threads_ = 1;           // fixed at construction
   std::vector<std::thread> workers_;  // touched only by the ctor + first shutdown()
@@ -305,10 +297,10 @@ class CodecEngine {
 };
 
 template <typename T>
-CodecFuture<T> CodecEngine::submit_job(size_t count,
-                                       std::function<void(size_t, size_t, unsigned)> body,
-                                       std::function<T()> finalize, int priority,
-                                       std::chrono::steady_clock::time_point deadline) {
+CodecFuture<T> CodecEngine::submit(size_t count,
+                                   std::function<void(size_t, size_t, unsigned)> body,
+                                   std::function<T()> finalize, int priority,
+                                   std::chrono::steady_clock::time_point deadline) {
   auto state = std::make_shared<typename CodecFuture<T>::State>();
   state->job = enqueue(count, std::move(body), priority, deadline);
   state->finalize = std::move(finalize);

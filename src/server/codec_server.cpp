@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/fingerprint_cache.h"
-
 namespace slc {
 
 namespace {
@@ -121,39 +119,8 @@ CodecServer::~CodecServer() {
   drain();
 }
 
-std::shared_ptr<FingerprintCache> CodecServer::shared_verify_cache() {
-  MutexLock lk(lock_);
-  if (!shared_verify_cache_) {
-    FingerprintCache::Config cache_cfg;
-    cache_cfg.verify_on_hit = true;
-    shared_verify_cache_ = std::make_shared<FingerprintCache>(cache_cfg);
-  }
-  return shared_verify_cache_;
-}
-
 StreamId CodecServer::open_stream(StreamConfig cfg) {
   auto stream = std::make_unique<Stream>();
-  // Cache wiring precedence: an explicitly pre-set options.fingerprint_cache
-  // always wins; cache_mode is only consulted when it is null.
-  if (!cfg.options.fingerprint_cache) {
-    switch (cfg.cache_mode) {
-      case CacheMode::kOff:
-        break;
-      case CacheMode::kShared:
-        cfg.options.fingerprint_cache = engine_->fingerprint_cache();
-        break;
-      case CacheMode::kSharedVerify:
-        cfg.options.fingerprint_cache = shared_verify_cache();
-        break;
-      case CacheMode::kPrivate:
-      case CacheMode::kPrivateVerify: {
-        FingerprintCache::Config cache_cfg;
-        cache_cfg.verify_on_hit = cfg.cache_mode == CacheMode::kPrivateVerify;
-        cfg.options.fingerprint_cache = std::make_shared<FingerprintCache>(cache_cfg);
-        break;
-      }
-    }
-  }
   // Registry lookup first: an unknown codec or missing training data must
   // fail open_stream, not the first request.
   stream->codec = CodecRegistry::instance().create(cfg.codec, cfg.options);
@@ -357,7 +324,7 @@ void CodecServer::dispatch_locked(StreamId s) {
         const size_t finished = batch->done.fetch_add(end - begin) + (end - begin);
         if (finished == batch->blocks.size()) batch->server->complete_batch(batch);
       },
-      priority, deadline);
+      {}, priority, deadline);
   // If the engine is shut down with this batch still queued (accepted at
   // enqueue, shards never claimed), the job is abandoned and no shard will
   // ever complete it — without this hook every ticket wait() and the server's
@@ -469,12 +436,8 @@ void CodecServer::complete_batch(const std::shared_ptr<Batch>& batch) {
       }
     } else {
       for (size_t j = 0; j < req->n_blocks; ++j) {
-        const BlockAnalysis& a = batch->analyses[req->offset + j];
-        resp.analysis.ratios.add(batch->blocks[req->offset + j].size() * 8, a.bit_size);
-        resp.analysis.lossy_blocks += a.lossy ? 1 : 0;
-        resp.analysis.truncated_symbols += a.truncated_symbols;
-        resp.analysis.cache.record(a.cache_probed, a.cache_hit, a.cache_evicted,
-                                   a.cache_collision);
+        resp.analysis.add(batch->analyses[req->offset + j],
+                          batch->blocks[req->offset + j].size() * 8);
       }
       if (batch->kind == RequestKind::kAnalyze) {
         // kDecide keeps the per-block vector empty — aggregates only.

@@ -2,9 +2,9 @@
 //
 // A server manages N independent client *streams*. Each stream names its
 // codec in the CodecRegistry, carries its own CodecOptions (MAG, lossy
-// threshold — the stream's error budget — and training sample), a
-// scheduling priority, a fingerprint-cache mode and an admission policy,
-// and owns a FIFO of typed requests. The server:
+// threshold — the stream's error budget — training sample and optional
+// fingerprint cache), a scheduling priority and an admission policy, and
+// owns a FIFO of typed requests. The server:
 //
 //   * coalesces small requests into engine-sized batches (one engine job per
 //     batch, `Config::batch_blocks` blocks), so a thousand 1 KB requests do
@@ -90,32 +90,19 @@ enum class AdmissionPolicy : uint8_t {
             ///< ticket instead of waiting (load shedding; never blocks)
 };
 
-/// Fingerprint decision-memo wiring for a stream (lossy TSLC-* streams only
-/// — the lossless schemes have no decision to memoize and ignore it).
-/// Precedence rule: a non-null `StreamConfig::options.fingerprint_cache`
-/// always wins — the mode is only consulted when the caller did not pre-set
-/// a cache.
-enum class CacheMode : uint8_t {
-  kOff,            ///< no memo (default)
-  kShared,         ///< the engine's shared cache (cross-stream dedup; its
-                   ///< verify mode is configured on the engine via
-                   ///< CodecEngine::set_fingerprint_cache before streams open)
-  kPrivate,        ///< stream-private cache (isolation: one tenant's traffic
-                   ///< cannot evict another's entries)
-  kSharedVerify,   ///< a server-owned verify-on-hit cache shared by this
-                   ///< server's kSharedVerify streams (paranoia + dedup)
-  kPrivateVerify,  ///< stream-private verify-on-hit cache
-};
-
 /// Everything needed to open a stream. `options.threshold_bytes` is the
 /// stream's error budget for lossy codecs; `options.training_data` is only
-/// read while open_stream() constructs the codec.
+/// read while open_stream() constructs the codec. `options.fingerprint_cache`
+/// attaches a decision memo (lossy TSLC-* streams only — the lossless
+/// schemes have no decision to memoize and ignore it): pass
+/// `engine().fingerprint_cache()` to dedup across every stream of the
+/// engine, or a stream's own FingerprintCache (optionally verify-on-hit) to
+/// isolate it from other tenants.
 struct StreamConfig {
   std::string name;
   std::string codec = "E2MC";  ///< CodecRegistry name
   CodecOptions options{};
   StreamPriority priority = StreamPriority::kNormal;
-  CacheMode cache_mode = CacheMode::kOff;
   AdmissionPolicy admission = AdmissionPolicy::kBlock;
 };
 
@@ -288,9 +275,7 @@ class CodecServer {
 
   /// Opens a stream: resolves `cfg.codec` in the registry (throws
   /// std::out_of_range on an unknown name, std::invalid_argument when the
-  /// scheme needs training data the options lack), wires the fingerprint
-  /// cache per `cfg.cache_mode` (unless `cfg.options.fingerprint_cache` is
-  /// already set — the explicit cache wins) and constructs its codec.
+  /// scheme needs training data the options lack) and constructs its codec.
   StreamId open_stream(StreamConfig cfg);
 
   size_t num_streams() const;
@@ -361,8 +346,6 @@ class CodecServer {
   /// Body of the flush-timer thread: force-dispatches batches whose
   /// flush_by elapsed, sleeps until the next one (or until notified).
   void timer_loop() SLC_EXCLUDES(lock_);
-  /// Lazily builds the server-owned CacheMode::kSharedVerify cache.
-  std::shared_ptr<FingerprintCache> shared_verify_cache() SLC_EXCLUDES(lock_);
 
   Config cfg_;
   std::shared_ptr<CodecEngine> engine_;
@@ -382,7 +365,6 @@ class CodecServer {
   uint64_t admit_head_ SLC_GUARDED_BY(lock_) = 0;  ///< turnstile: next turn to admit
   uint64_t admit_tail_ SLC_GUARDED_BY(lock_) = 0;  ///< next turn to hand out
   bool stopping_ SLC_GUARDED_BY(lock_) = false;    ///< ~CodecServer: timer must exit
-  std::shared_ptr<FingerprintCache> shared_verify_cache_ SLC_GUARDED_BY(lock_);
   std::thread timer_;  ///< flush-timer thread; started in ctor, joined in dtor
 };
 

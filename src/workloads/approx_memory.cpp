@@ -14,10 +14,8 @@ namespace {
 /// job survives a concurrent alloc()); every write (burst slot, lossy
 /// mutation) is block-disjoint and each block's outcome depends only on its
 /// own pre-commit contents, so sharding cannot change results. The whole
-/// [begin, end) range goes through the policy's process_batch kernel —
-/// policies with a batched override (SLC's staged mode decision, the
-/// lossless schemes' vectorized size probes) get the shard at once, and the
-/// default is the per-block scalar loop, byte-identical either way.
+/// [begin, end) range goes through the policy's process_batch kernel (SLC's
+/// staged mode decision, the lossless schemes' vectorized size probes).
 void process_blocks(const BlockCodec& codec, uint8_t* data, uint32_t* bursts, bool safe,
                     size_t threshold_bytes, size_t begin, size_t end, CommitStats& ws) {
   const size_t n = end - begin;
@@ -133,7 +131,7 @@ void ApproxMemory::commit_async(RegionId r) {
   const bool safe = reg.safe;
   const size_t threshold = reg.threshold_bytes;
   std::shared_ptr<const BlockCodec> codec = codec_;
-  reg.pending = engine_->submit_job<CommitStats>(
+  reg.pending = engine_->submit<CommitStats>(
       n_blocks,
       [per_worker, data, bursts, safe, threshold, codec](size_t begin, size_t end,
                                                          unsigned worker) {

@@ -173,7 +173,6 @@ class ApproxMemory {
                  size_t threshold_bytes = 16);
 
   size_t num_regions() const { return regions_.size(); }
-  const std::string& region_name(RegionId r) const { return regions_[r].name; }
   size_t region_bytes(RegionId r) const { return regions_[r].data.size(); }
   size_t region_blocks(RegionId r) const { return regions_[r].data.size() / kBlockBytes; }
   bool region_safe(RegionId r) const { return regions_[r].safe; }

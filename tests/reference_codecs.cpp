@@ -1,5 +1,6 @@
 #include "reference_codecs.h"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <deque>
@@ -10,6 +11,7 @@
 #include "compress/e2mc.h"
 #include "compress/fpc.h"
 #include "compress/huffman.h"
+#include "core/slc_block_codec.h"
 #include "core/slc_compressor.h"
 #include "core/slc_header.h"
 #include "core/tree_selector.h"
@@ -444,9 +446,17 @@ BlockAnalysis huffman_analyze(const HuffmanCompressor& comp, BlockView block) {
 
 // --- SLC --------------------------------------------------------------------
 
+SlcCodec::Decision slc_decide(const SlcCodec& codec, BlockView block,
+                              SlcCodec::CacheOutcome& oc) {
+  SlcCodec::LengthScratch scratch;
+  SlcCodec::Decision d;
+  codec.decide_batch_cached(std::span<const BlockView>(&block, 1), scratch, &d, &oc);
+  return d;
+}
+
 BlockAnalysis slc_analyze(const SlcCodec& codec, BlockView block) {
   SlcCodec::CacheOutcome oc;
-  const SlcEncodeInfo info = codec.decide_cached(block, oc).info;
+  const SlcEncodeInfo info = slc_decide(codec, block, oc).info;
   BlockAnalysis a;
   a.bit_size = info.final_bits;
   a.is_compressed = !info.stored_uncompressed;
@@ -489,7 +499,7 @@ BdiEncoding bdi_best_encoding(BlockView block) {
 
 SlcCompressedBlock slc_compress(const SlcCodec& codec, BlockView block) {
   SlcCodec::CacheOutcome oc;
-  const SlcCodec::Decision d = codec.decide_cached(block, oc);
+  const SlcCodec::Decision d = slc_decide(codec, block, oc);
   SlcCompressedBlock out;
   out.info = d.info;
   if (d.info.stored_uncompressed) {
@@ -535,6 +545,80 @@ Codec reference_for(const Compressor& comp) {
     return {[c](BlockView b) { return slc_compress(c->codec(), b).data; },
             [c](BlockView b) { return slc_analyze(c->codec(), b); }};
   throw std::invalid_argument("no reference encoder for " + comp.name());
+}
+
+// --- per-block policies -------------------------------------------------------
+
+namespace {
+
+class PerBlockPolicy final : public BlockCodec {
+ public:
+  explicit PerBlockPolicy(std::shared_ptr<const BlockCodec> policy) : policy_(std::move(policy)) {}
+
+  void process_batch(std::span<const BlockView> blocks, bool safe_to_approx,
+                     size_t threshold_bytes, BlockCodecResult* out) const override {
+    if (const auto* slc = dynamic_cast<const SlcBlockCodec*>(policy_.get())) {
+      SlcConfig cfg = slc->config();
+      cfg.threshold_bytes = safe_to_approx ? std::min(threshold_bytes, cfg.threshold_bytes) : 0;
+      const SlcCodec codec(slc->lossless(), cfg);
+      for (size_t i = 0; i < blocks.size(); ++i) {
+        SlcCodec::CacheOutcome oc;
+        const SlcCodec::Decision d = slc_decide(codec, blocks[i], oc);
+        BlockCodecResult& r = out[i];
+        r = BlockCodecResult{};
+        r.bursts = d.info.bursts;
+        r.lossless_bits = d.info.lossless_bits;
+        r.final_bits = d.info.final_bits;
+        r.lossy = d.info.lossy;
+        r.stored_uncompressed = d.info.stored_uncompressed;
+        r.truncated_symbols = d.info.truncated_symbols;
+        r.cache_probed = oc.probed;
+        r.cache_hit = oc.hit;
+        r.cache_evicted = oc.evicted;
+        r.cache_collision = oc.collision;
+        r.decoded = codec.approx_decode(blocks[i], d);
+      }
+    } else if (const auto* lossless = dynamic_cast<const LosslessBlockCodec*>(policy_.get())) {
+      const Codec ref = reference_for(lossless->compressor());
+      for (size_t i = 0; i < blocks.size(); ++i) {
+        const BlockAnalysis a = ref.analyze(blocks[i]);
+        const size_t raw_bits = blocks[i].size() * 8;
+        BlockCodecResult& r = out[i];
+        r = BlockCodecResult{};
+        r.lossless_bits = a.bit_size;
+        r.final_bits = a.bit_size;
+        r.stored_uncompressed = !a.is_compressed || a.bit_size >= raw_bits;
+        r.bursts = bursts_for_bits(a.bit_size, mag_bytes(), blocks[i].size());
+        r.decoded = Block(blocks[i].bytes());
+      }
+    } else {
+      for (size_t i = 0; i < blocks.size(); ++i) {
+        BlockCodecResult& r = out[i];
+        r = BlockCodecResult{};
+        r.bursts = blocks[i].size() / mag_bytes();
+        r.lossless_bits = blocks[i].size() * 8;
+        r.final_bits = blocks[i].size() * 8;
+        r.stored_uncompressed = true;
+        r.decoded = Block(blocks[i].bytes());
+      }
+    }
+  }
+  size_t mag_bytes() const override { return policy_->mag_bytes(); }
+  std::string name() const override { return policy_->name(); }
+
+ private:
+  std::shared_ptr<const BlockCodec> policy_;
+};
+
+}  // namespace
+
+std::shared_ptr<const BlockCodec> per_block_policy(std::shared_ptr<const BlockCodec> policy) {
+  const BlockCodec* p = policy.get();
+  if (!dynamic_cast<const SlcBlockCodec*>(p) && !dynamic_cast<const LosslessBlockCodec*>(p) &&
+      !dynamic_cast<const RawBlockCodec*>(p))
+    throw std::invalid_argument("no per-block reference policy for " +
+                                (p ? p->name() : std::string("null")));
+  return std::make_shared<PerBlockPolicy>(std::move(policy));
 }
 
 }  // namespace slc::ref

@@ -1,20 +1,24 @@
-// Per-block reference encoders: the differential oracle for the library's
-// batch kernels, which are its only encoders.
+// Per-block reference encoders and policies: the differential oracle for
+// the library's batch kernels, which are its only encoders and its only
+// memory-controller policy path.
 //
 // These are the straightforward one-block encoders the kernels were derived
 // from: a bit-at-a-time writer, a deque-backed C-PACK dictionary,
 // byte-assembled word loads and separate size-only walks. They share only
 // code tables and layout helpers with the library. tests/test_batch_kernels
 // and the per-scheme suites compare against them; bench/codec_throughput
-// times them as its "scalar" rows.
+// times them as its "scalar" rows, and bench/engine_throughput times the
+// per-block policy as its region-commit "scalar" row.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "compress/bdi.h"
+#include "compress/block_codec.h"
 #include "compress/cpack.h"
 #include "compress/huffman.h"
 #include "core/slc_codec.h"
@@ -55,8 +59,12 @@ CompressedBlock e2mc_compress(const E2mcCompressor& comp, BlockView block);
 BlockAnalysis e2mc_analyze(const E2mcCompressor& comp, BlockView block);
 CompressedBlock huffman_compress(const HuffmanCompressor& comp, BlockView block);
 BlockAnalysis huffman_analyze(const HuffmanCompressor& comp, BlockView block);
-/// SLC: the Fig. 4 decision from SlcCodec::decide_cached, emitted by the
-/// reference writer with its own header and way layout.
+/// SLC's one-block Fig. 4 decision: SlcCodec::decide_batch_cached over a
+/// span of one, served from the codec's fingerprint memo when it has one.
+SlcCodec::Decision slc_decide(const SlcCodec& codec, BlockView block,
+                              SlcCodec::CacheOutcome& oc);
+/// SLC: the slc_decide() decision, emitted by the reference writer with its
+/// own header and way layout.
 SlcCompressedBlock slc_compress(const SlcCodec& codec, BlockView block);
 BlockAnalysis slc_analyze(const SlcCodec& codec, BlockView block);
 
@@ -70,5 +78,14 @@ struct Codec {
 /// Huffman or a TSLC variant). `comp` must outlive the result. Throws
 /// std::invalid_argument for any other Compressor type.
 Codec reference_for(const Compressor& comp);
+
+/// The per-block reference for a library policy (RawBlockCodec,
+/// LosslessBlockCodec or SlcBlockCodec): a BlockCodec whose process_batch
+/// decides one block at a time. TSLC-* builds its own SlcCodec for the
+/// effective threshold (safe ? min(region, config) : 0) and takes each
+/// block's slc_decide() decision and approx_decode(); the lossless schemes
+/// map reference_for(...).analyze; RAW returns the fixed raw result. Keeps
+/// `policy` alive; throws std::invalid_argument for any other policy type.
+std::shared_ptr<const BlockCodec> per_block_policy(std::shared_ptr<const BlockCodec> policy);
 
 }  // namespace slc::ref

@@ -7,6 +7,7 @@
 
 #include "common/rng.h"
 #include "core/slc_block_codec.h"
+#include "reference_codecs.h"
 #include "workloads/approx_memory.h"
 
 namespace slc {
@@ -315,9 +316,9 @@ TEST(ApproxMemory, BatchCommitMatchesScalarAcrossThresholds) {
     return std::make_tuple(contents, bursts, mem.stats());
   };
 
-  // ScalarOnlyBlockCodec (compress/block_codec.h) forces the per-block
-  // process() loop: a commit through it is the oracle the batch must match.
-  const auto scalar = run(std::make_shared<ScalarOnlyBlockCodec>(tiny_slc()), nullptr);
+  // The per-block reference policy (tests/reference_codecs.h) decides one
+  // block at a time: a commit through it is the oracle the batch must match.
+  const auto scalar = run(ref::per_block_policy(tiny_slc()), nullptr);
   size_t lossy_total = 0;
   for (const auto engine_threads : {0u, 1u, 4u}) {
     const auto engine = engine_threads == 0 ? nullptr : std::make_shared<CodecEngine>(engine_threads);
@@ -336,14 +337,16 @@ TEST(ApproxMemory, BatchCommitMatchesScalarAcrossThresholds) {
 TEST(ApproxMemory, BurstCountsAbove255SurviveCommitAndTrace) {
   class WideBurstCodec final : public BlockCodec {
    public:
-    BlockCodecResult process(BlockView block, bool, size_t) const override {
-      BlockCodecResult r;
-      r.bursts = 300;  // > uint8_t: e.g. block_bytes / mag_bytes = 300
-      r.lossless_bits = block.size() * 8;
-      r.final_bits = block.size() * 8;
-      r.stored_uncompressed = true;
-      r.decoded = Block(block.bytes());
-      return r;
+    void process_batch(std::span<const BlockView> blocks, bool, size_t,
+                       BlockCodecResult* out) const override {
+      for (size_t i = 0; i < blocks.size(); ++i) {
+        BlockCodecResult& r = out[i];
+        r.bursts = 300;  // > uint8_t: e.g. block_bytes / mag_bytes = 300
+        r.lossless_bits = blocks[i].size() * 8;
+        r.final_bits = blocks[i].size() * 8;
+        r.stored_uncompressed = true;
+        r.decoded = Block(blocks[i].bytes());
+      }
     }
     size_t mag_bytes() const override { return kDefaultMagBytes; }
     std::string name() const override { return "WIDE"; }
@@ -359,10 +362,19 @@ TEST(ApproxMemory, BurstCountsAbove255SurviveCommitAndTrace) {
   for (const TraceAccess& a : mem.trace()[0].accesses) EXPECT_EQ(a.bursts, 300u);
 }
 
+/// One block through a policy's batch kernel.
+BlockCodecResult process_one(const BlockCodec& codec, const Block& b, bool safe,
+                             size_t threshold) {
+  const BlockView view = b.view();
+  BlockCodecResult r;
+  codec.process_batch(std::span<const BlockView>(&view, 1), safe, threshold, &r);
+  return r;
+}
+
 TEST(BlockCodec, RawReportsMaxBursts) {
   const RawBlockCodec raw(32);
   Block b;
-  const auto r = raw.process(b.view(), true, 16);
+  const auto r = process_one(raw, b, true, 16);
   EXPECT_EQ(r.bursts, 4u);
   EXPECT_FALSE(r.lossy);
   EXPECT_EQ(raw.max_bursts(), 4u);
@@ -380,10 +392,10 @@ TEST(BlockCodec, SlcRespectsRegionThreshold) {
   for (int i = 0; i < 64; ++i) {
     const Block b(std::span<const uint8_t>(bytes).subspan(
         static_cast<size_t>(i) * kBlockBytes, kBlockBytes));
-    if (codec.process(b.view(), true, 16).lossy) ++lossy_with;
-    if (codec.process(b.view(), false, 16).lossy) ++lossy_without;
+    if (process_one(codec, b, true, 16).lossy) ++lossy_with;
+    if (process_one(codec, b, false, 16).lossy) ++lossy_without;
     // threshold 0 region: never lossy even if marked safe
-    EXPECT_FALSE(codec.process(b.view(), true, 0).lossy);
+    EXPECT_FALSE(process_one(codec, b, true, 0).lossy);
   }
   EXPECT_GT(lossy_with, 0u);
   EXPECT_EQ(lossy_without, 0u);

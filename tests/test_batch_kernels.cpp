@@ -10,6 +10,7 @@
 
 #include <cstring>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -180,10 +181,11 @@ TEST(BatchKernels, ByteIdenticalToScalarLoopForEveryRegistryCodec) {
 
 // --- BlockCodec::process_batch ----------------------------------------------
 // The memory-controller policies' batch kernel must match the per-block
-// scalar process() loop field for field — including the decoded bytes lossy
-// SLC blocks mutate — for every registry policy, every (safe, threshold)
-// region annotation, and any batch split. This is the contract that lets
-// ApproxMemory's commit kernel hand whole engine shards to process_batch.
+// reference policy (ref::per_block_policy) field for field — including the
+// decoded bytes lossy SLC blocks mutate — for every registry policy, every
+// (safe, threshold) region annotation, and any batch split. This is the
+// contract that lets ApproxMemory's commit kernel hand whole engine shards
+// to process_batch.
 
 void expect_result_eq(const BlockCodecResult& scalar, const BlockCodecResult& batch,
                       const std::string& what) {
@@ -196,28 +198,33 @@ void expect_result_eq(const BlockCodecResult& scalar, const BlockCodecResult& ba
   EXPECT_EQ(scalar.decoded, batch.decoded) << what;
 }
 
-void check_block_codec(const BlockCodec& codec, const std::vector<Block>& blocks,
-                       bool safe, size_t threshold, const std::string& label) {
+/// Checks `codec` against its per-block reference; returns how many blocks
+/// the batch kernel decided lossy.
+size_t check_block_codec(const std::shared_ptr<const BlockCodec>& codec,
+                         const std::vector<Block>& blocks, bool safe, size_t threshold,
+                         const std::string& label) {
   const std::vector<BlockView> views = to_views(blocks);
 
-  // The scalar oracle: exactly the loop BlockCodec's default runs.
   std::vector<BlockCodecResult> scalar(blocks.size());
-  for (size_t i = 0; i < blocks.size(); ++i) scalar[i] = codec.process(views[i], safe, threshold);
+  ref::per_block_policy(codec)->process_batch(views, safe, threshold, scalar.data());
 
+  size_t lossy = 0;
   for (const size_t split : {size_t{1}, size_t{5}, blocks.size()}) {
     std::vector<BlockCodecResult> batch(blocks.size());
     for (size_t begin = 0; begin < blocks.size(); begin += split) {
       const size_t len = std::min(split, blocks.size() - begin);
-      codec.process_batch(std::span<const BlockView>(views.data() + begin, len), safe, threshold,
-                          batch.data() + begin);
+      codec->process_batch(std::span<const BlockView>(views.data() + begin, len), safe,
+                           threshold, batch.data() + begin);
     }
     for (size_t i = 0; i < blocks.size(); ++i) {
       expect_result_eq(scalar[i], batch[i],
-                       codec.name() + "/" + label + " safe=" + std::to_string(safe) +
+                       codec->name() + "/" + label + " safe=" + std::to_string(safe) +
                            " threshold=" + std::to_string(threshold) + " block " +
                            std::to_string(i) + " split " + std::to_string(split));
+      if (split == blocks.size()) lossy += batch[i].lossy ? 1 : 0;
     }
   }
+  return lossy;
 }
 
 TEST(BatchKernels, ProcessBatchMatchesScalarForEveryRegistryPolicy) {
@@ -239,11 +246,11 @@ TEST(BatchKernels, ProcessBatchMatchesScalarForEveryRegistryPolicy) {
     const auto codec = CodecRegistry::instance().create_block_codec(info->name, opts);
     for (const auto& [label, blocks] : datasets) {
       for (const auto& [safe, threshold] : annotations) {
-        check_block_codec(*codec, blocks, safe, threshold, label);
-        if (info->lossy && safe && threshold > 0) {
-          for (const Block& b : blocks)
-            lossy_seen += codec->process(b.view(), safe, threshold).lossy ? 1 : 0;
+        const size_t lossy = check_block_codec(codec, blocks, safe, threshold, label);
+        if (!info->lossy || !safe || threshold == 0) {
+          EXPECT_EQ(lossy, 0u) << info->name;
         }
+        lossy_seen += lossy;
       }
     }
   }

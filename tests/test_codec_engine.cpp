@@ -63,8 +63,8 @@ TEST(CodecEngine, ThreadCountInvariantResults) {
     CodecEngine one(1);
     CodecEngine four(4);
 
-    const auto a1 = one.analyze_stream(*comp, blocks, 32);
-    const auto a4 = four.analyze_stream(*comp, blocks, 32);
+    const auto a1 = one.submit_analyze(*comp, blocks, 32).wait();
+    const auto a4 = four.submit_analyze(*comp, blocks, 32).wait();
     ASSERT_EQ(a1.blocks.size(), a4.blocks.size());
     for (size_t i = 0; i < a1.blocks.size(); ++i) {
       EXPECT_EQ(a1.blocks[i].bit_size, a4.blocks[i].bit_size) << scheme << " block " << i;
@@ -76,8 +76,8 @@ TEST(CodecEngine, ThreadCountInvariantResults) {
     EXPECT_EQ(a1.lossy_blocks, a4.lossy_blocks) << scheme;
     EXPECT_EQ(a1.truncated_symbols, a4.truncated_symbols) << scheme;
 
-    const auto c1 = one.compress_stream(*comp, blocks);
-    const auto c4 = four.compress_stream(*comp, blocks);
+    const auto c1 = one.submit_compress(*comp, blocks).wait();
+    const auto c4 = four.submit_compress(*comp, blocks).wait();
     ASSERT_EQ(c1.size(), c4.size());
     for (size_t i = 0; i < c1.size(); ++i) {
       EXPECT_EQ(c1[i].bit_size, c4[i].bit_size) << scheme << " block " << i;
@@ -86,25 +86,11 @@ TEST(CodecEngine, ThreadCountInvariantResults) {
   }
 }
 
-TEST(CodecEngine, AnalyzeBytesMatchesAnalyzeStream) {
-  const auto training = quantized_walk(31, 256);
-  const auto data = quantized_walk(33, 64);
-  const auto blocks = to_blocks(data);
-  const auto comp = CodecRegistry::instance().create("E2MC", test_options(training));
-
-  CodecEngine engine(2);
-  const auto from_blocks = engine.analyze_stream(*comp, blocks, 32);
-  const auto from_bytes = engine.analyze_bytes(*comp, data, 32);
-  ASSERT_EQ(from_bytes.blocks.size(), from_blocks.blocks.size());
-  for (size_t i = 0; i < from_bytes.blocks.size(); ++i)
-    EXPECT_EQ(from_bytes.blocks[i].bit_size, from_blocks.blocks[i].bit_size);
-  EXPECT_EQ(from_bytes.ratios.raw_ratio(), from_blocks.ratios.raw_ratio());
-}
-
-// Satellite regression: analyze_bytes' zero-padded tail must be
-// byte-identical to to_blocks(pad_tail = true) + analyze_stream for every
-// ragged size, including empty input.
-TEST(CodecEngine, AnalyzeBytesTailPaddingMatchesToBlocks) {
+// The flat-buffer callers (the ratio benches, the server's Request::bytes)
+// slice through to_blocks: for every ragged size, including empty input, the
+// analysis of the padded tail must equal that of an explicitly zero-padded
+// buffer, block for block.
+TEST(CodecEngine, RaggedBufferAnalyzesAsZeroPaddedBlocks) {
   const auto training = quantized_walk(31, 256);
   const auto comp = CodecRegistry::instance().create("E2MC", test_options(training));
   const auto base = quantized_walk(36, 6);
@@ -115,42 +101,59 @@ TEST(CodecEngine, AnalyzeBytesTailPaddingMatchesToBlocks) {
         5 * kBlockBytes + 17, 6 * kBlockBytes}) {
     ASSERT_LE(bytes, base.size());
     const std::span<const uint8_t> data(base.data(), bytes);
-    const auto blocks = to_blocks(data, kBlockBytes, /*pad_tail=*/true);
+    std::vector<uint8_t> padded(data.begin(), data.end());
+    padded.resize((bytes + kBlockBytes - 1) / kBlockBytes * kBlockBytes, 0);
+    const auto ragged_blocks = to_blocks(data, kBlockBytes, /*pad_tail=*/true);
+    const auto padded_blocks = to_blocks(padded);
+    ASSERT_EQ(ragged_blocks.size(), padded.size() / kBlockBytes) << bytes << " bytes";
 
-    const auto from_bytes = engine.analyze_bytes(*comp, data, 32);
-    const auto from_blocks = engine.analyze_stream(*comp, blocks, 32);
+    const auto from_ragged = engine.submit_analyze(*comp, ragged_blocks, 32).wait();
+    const auto from_padded = engine.submit_analyze(*comp, padded_blocks, 32).wait();
 
-    ASSERT_EQ(from_bytes.blocks.size(), from_blocks.blocks.size()) << bytes << " bytes";
-    for (size_t i = 0; i < from_bytes.blocks.size(); ++i) {
-      const BlockAnalysis& a = from_bytes.blocks[i];
-      const BlockAnalysis& b = from_blocks.blocks[i];
+    ASSERT_EQ(from_ragged.blocks.size(), from_padded.blocks.size()) << bytes << " bytes";
+    for (size_t i = 0; i < from_ragged.blocks.size(); ++i) {
+      const BlockAnalysis& a = from_ragged.blocks[i];
+      const BlockAnalysis& b = from_padded.blocks[i];
       EXPECT_EQ(a.bit_size, b.bit_size) << bytes << " bytes, block " << i;
+      EXPECT_EQ(a.bit_size, comp->compressed_bits(padded_blocks[i].view()))
+          << bytes << " bytes, block " << i;
       EXPECT_EQ(a.is_compressed, b.is_compressed) << bytes << " bytes, block " << i;
       EXPECT_EQ(a.lossy, b.lossy) << bytes << " bytes, block " << i;
       EXPECT_EQ(a.lossless_bits, b.lossless_bits) << bytes << " bytes, block " << i;
       EXPECT_EQ(a.truncated_symbols, b.truncated_symbols) << bytes << " bytes, block " << i;
     }
-    EXPECT_EQ(from_bytes.ratios.blocks(), from_blocks.ratios.blocks()) << bytes;
-    EXPECT_EQ(from_bytes.ratios.raw_ratio(), from_blocks.ratios.raw_ratio()) << bytes;
-    EXPECT_EQ(from_bytes.ratios.effective_ratio(), from_blocks.ratios.effective_ratio()) << bytes;
-    EXPECT_EQ(from_bytes.lossy_blocks, from_blocks.lossy_blocks) << bytes;
-    EXPECT_EQ(from_bytes.truncated_symbols, from_blocks.truncated_symbols) << bytes;
+    EXPECT_EQ(from_ragged.ratios.blocks(), from_padded.ratios.blocks()) << bytes;
+    EXPECT_EQ(from_ragged.ratios.raw_ratio(), from_padded.ratios.raw_ratio()) << bytes;
+    EXPECT_EQ(from_ragged.ratios.effective_ratio(), from_padded.ratios.effective_ratio()) << bytes;
+    EXPECT_EQ(from_ragged.lossy_blocks, from_padded.lossy_blocks) << bytes;
+    EXPECT_EQ(from_ragged.truncated_symbols, from_padded.truncated_symbols) << bytes;
   }
 }
 
-TEST(CodecEngine, AnalyzeBytesPadsTail) {
+// The one per-block fold the engine and the server share: folding a stream
+// in two partials and merging equals folding it in one pass.
+TEST(CodecEngine, StreamAnalysisMergeOfPartialsEqualsOnePass) {
   const auto training = quantized_walk(31, 256);
-  auto data = quantized_walk(34, 3);
-  data.resize(data.size() - 40);  // ragged tail
-  const auto comp = CodecRegistry::instance().create("E2MC", test_options(training));
+  const auto blocks = to_blocks(quantized_walk(37, 40));
+  const auto comp = CodecRegistry::instance().create("TSLC-OPT", test_options(training));
+  std::vector<BlockAnalysis> analyses(blocks.size());
+  comp->analyze_batch(to_views(blocks), analyses.data());
 
-  CodecEngine engine(2);
-  const auto res = engine.analyze_bytes(*comp, data, 32);
-  EXPECT_EQ(res.blocks.size(), 3u);  // tail zero-padded into a full block
-  const auto blocks = to_blocks(data);
-  ASSERT_EQ(blocks.size(), 3u);
-  for (size_t i = 0; i < 3; ++i)
-    EXPECT_EQ(res.blocks[i].bit_size, comp->compressed_bits(blocks[i].view()));
+  CodecEngine::StreamAnalysis one, lo, hi;
+  one.ratios = lo.ratios = hi.ratios = RatioAccumulator(32);
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    one.add(analyses[i], kBlockBytes * 8);
+    (i < 13 ? lo : hi).add(analyses[i], kBlockBytes * 8);
+  }
+  lo.merge(hi);
+  EXPECT_GT(one.lossy_blocks, 0u);
+  EXPECT_EQ(lo.lossy_blocks, one.lossy_blocks);
+  EXPECT_EQ(lo.truncated_symbols, one.truncated_symbols);
+  EXPECT_EQ(lo.cache, one.cache);
+  EXPECT_EQ(lo.ratios.blocks(), one.ratios.blocks());
+  EXPECT_EQ(lo.ratios.raw_ratio(), one.ratios.raw_ratio());
+  EXPECT_EQ(lo.ratios.effective_ratio(), one.ratios.effective_ratio());
+  EXPECT_TRUE(lo.blocks.empty());  // add/merge fold aggregates only
 }
 
 // --- async submission API ---------------------------------------------------
@@ -194,7 +197,7 @@ TEST(CodecEngine, ConcurrentSubmitsMatchSequentialAnalyze) {
   CodecEngine reference(1);
   for (size_t s = 0; s < streams.size(); ++s) {
     const auto got = analyses[s].wait();
-    const auto want = reference.analyze_stream(*comp, streams[s], 32);
+    const auto want = reference.submit_analyze(*comp, streams[s], 32).wait();
     ASSERT_EQ(got.blocks.size(), want.blocks.size());
     for (size_t i = 0; i < got.blocks.size(); ++i)
       EXPECT_EQ(got.blocks[i].bit_size, want.blocks[i].bit_size) << "stream " << s << " block " << i;
@@ -204,7 +207,7 @@ TEST(CodecEngine, ConcurrentSubmitsMatchSequentialAnalyze) {
     EXPECT_EQ(got.truncated_symbols, want.truncated_symbols);
 
     const auto got_payloads = payloads[s].wait();
-    const auto want_payloads = reference.compress_stream(*comp, streams[s]);
+    const auto want_payloads = reference.submit_compress(*comp, streams[s]).wait();
     ASSERT_EQ(got_payloads.size(), want_payloads.size());
     for (size_t i = 0; i < got_payloads.size(); ++i)
       EXPECT_EQ(got_payloads[i].payload, want_payloads[i].payload) << "stream " << s;
@@ -232,12 +235,12 @@ TEST(CodecEngine, ExceptionInOneJobDoesNotPoisonOthers) {
   EXPECT_EQ(total.load(), 10u);
 }
 
-// submit_job's finalize runs once, on the waiting thread, after the drain —
+// submit's finalize runs once, on the waiting thread, after the drain —
 // the merge point the determinism contract hangs on.
 TEST(CodecEngine, SubmitJobFinalizeMergesPerWorkerState) {
   CodecEngine engine(4);
   auto per_worker = std::make_shared<std::vector<uint64_t>>(engine.num_threads(), 0);
-  auto fut = engine.submit_job<uint64_t>(
+  auto fut = engine.submit<uint64_t>(
       1000,
       [per_worker](size_t begin, size_t end, unsigned worker) {
         for (size_t i = begin; i < end; ++i) (*per_worker)[worker] += i;
@@ -342,11 +345,11 @@ TEST(CodecEngine, PriorityClaimsBeforeFifo) {
     order.push_back(tag);
   };
   auto bulk_a = engine.submit(1, [&](size_t, size_t, unsigned) { record(0); },
-                              CodecEngine::kPriorityBulk);
+                              {}, CodecEngine::kPriorityBulk);
   auto bulk_b = engine.submit(1, [&](size_t, size_t, unsigned) { record(1); },
-                              CodecEngine::kPriorityBulk);
+                              {}, CodecEngine::kPriorityBulk);
   auto urgent = engine.submit(1, [&](size_t, size_t, unsigned) { record(2); },
-                              CodecEngine::kPriorityLatency);
+                              {}, CodecEngine::kPriorityLatency);
 
   release = true;
   gate.wait();
@@ -381,15 +384,15 @@ TEST(CodecEngine, EarliestDeadlineClaimsFirstWithinBand) {
   // Submission order: undated, late, early — claim order must invert to
   // early, late, undated.
   auto undated = engine.submit(1, [&](size_t, size_t, unsigned) { record(0); },
-                               CodecEngine::kPriorityDeadline);
+                               {}, CodecEngine::kPriorityDeadline);
   auto late = engine.submit(1, [&](size_t, size_t, unsigned) { record(1); },
-                            CodecEngine::kPriorityDeadline, now + std::chrono::seconds(60));
+                            {}, CodecEngine::kPriorityDeadline, now + std::chrono::seconds(60));
   auto early = engine.submit(1, [&](size_t, size_t, unsigned) { record(2); },
-                             CodecEngine::kPriorityDeadline, now + std::chrono::seconds(1));
+                             {}, CodecEngine::kPriorityDeadline, now + std::chrono::seconds(1));
   // Band still outranks deadline: a bulk job with the earliest date loses to
   // every deadline-band job above.
   auto bulk = engine.submit(1, [&](size_t, size_t, unsigned) { record(3); },
-                            CodecEngine::kPriorityBulk, now - std::chrono::seconds(1));
+                            {}, CodecEngine::kPriorityBulk, now - std::chrono::seconds(1));
 
   release = true;
   gate.wait();
@@ -425,7 +428,7 @@ TEST(CodecEngine, DeadlineBatchesDispatchInDeadlineOrder) {
           std::lock_guard<std::mutex> lk(order_m);
           order.push_back(tag);
         },
-        CodecEngine::kPriorityDeadline, now + deadline);
+        {}, CodecEngine::kPriorityDeadline, now + deadline);
   };
   auto late = batch(1, std::chrono::seconds(60));
   auto early = batch(0, std::chrono::seconds(1));

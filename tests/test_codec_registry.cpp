@@ -10,6 +10,7 @@
 #include "compress/block_codec.h"
 #include "compress/codec_registry.h"
 #include "core/slc_compressor.h"
+#include "reference_codecs.h"
 
 namespace slc {
 namespace {
@@ -134,12 +135,16 @@ TEST(CodecRegistry, BlockCodecConstructibleForEveryScheme) {
     const auto codec = reg.create_block_codec(info->name, test_options(training));
     ASSERT_NE(codec, nullptr) << info->name;
     EXPECT_EQ(codec->mag_bytes(), 32u) << info->name;
-    for (const Block& b : blocks) {
-      const BlockCodecResult r = codec->process(b.view(), /*safe=*/true, /*threshold=*/16);
+    const std::vector<BlockView> views = to_views(blocks);
+    std::vector<BlockCodecResult> results(views.size());
+    ref::per_block_policy(codec)->process_batch(views, /*safe=*/true, /*threshold=*/16,
+                                                results.data());
+    for (size_t i = 0; i < blocks.size(); ++i) {
+      const BlockCodecResult& r = results[i];
       EXPECT_GE(r.bursts, 1u) << info->name;
       EXPECT_LE(r.bursts, kBlockBytes / 32) << info->name;
       if (!info->lossy) {
-        EXPECT_EQ(r.decoded, b) << info->name;
+        EXPECT_EQ(r.decoded, blocks[i]) << info->name;
       }
     }
   }

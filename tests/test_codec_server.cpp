@@ -123,8 +123,8 @@ TEST(CodecServer, OpenStreamValidatesAgainstRegistry) {
   EXPECT_EQ(server.stream_name(s), "ok");
 }
 
-// A request's analysis must match the engine's analyze_bytes of the same
-// data through the same scheme, ragged tail included.
+// A request's analysis must match the engine's analysis of the same bytes
+// (sliced by to_blocks) through the same scheme, ragged tail included.
 TEST(CodecServer, RequestMatchesEngineAnalyzeBytes) {
   const auto training = quantized_walk(31, 256);
   auto data = quantized_walk(42, 5);
@@ -138,7 +138,7 @@ TEST(CodecServer, RequestMatchesEngineAnalyzeBytes) {
 
   const auto comp = CodecRegistry::instance().create("E2MC", test_options(training));
   CodecEngine reference(1);
-  const auto want = reference.analyze_bytes(*comp, data, 32);
+  const auto want = reference.submit_analyze(*comp, to_blocks(data), 32).wait();
 
   ASSERT_EQ(got.analysis.blocks.size(), want.blocks.size());
   for (size_t i = 0; i < got.analysis.blocks.size(); ++i)
@@ -446,10 +446,16 @@ TEST(CodecServer, MixedCodecStreamsStayIsolated) {
   const Response got_e = te.wait();
 
   CodecEngine reference(1);
-  const auto want_b =
-      reference.analyze_bytes(*CodecRegistry::instance().create("BDI", test_options({})), data, 32);
-  const auto want_e = reference.analyze_bytes(
-      *CodecRegistry::instance().create("E2MC", test_options(training)), data, 32);
+  const auto blocks = to_blocks(data);
+  const auto want_b = reference
+                          .submit_analyze(*CodecRegistry::instance().create("BDI", test_options({})),
+                                          blocks, 32)
+                          .wait();
+  const auto want_e =
+      reference
+          .submit_analyze(*CodecRegistry::instance().create("E2MC", test_options(training)),
+                          blocks, 32)
+          .wait();
   ASSERT_EQ(got_b.analysis.blocks.size(), want_b.blocks.size());
   ASSERT_EQ(got_e.analysis.blocks.size(), want_e.blocks.size());
   for (size_t i = 0; i < got_b.analysis.blocks.size(); ++i)
@@ -458,7 +464,7 @@ TEST(CodecServer, MixedCodecStreamsStayIsolated) {
     EXPECT_EQ(got_e.analysis.blocks[i].bit_size, want_e.blocks[i].bit_size);
 }
 
-// --- typed-API tests: kinds, deadlines, admission, cache modes --------------
+// --- typed-API tests: kinds, deadlines, admission, caches -------------------
 
 // The tentpole lull property: a partial batch must flush within its deadline
 // budget with no subsequent submit, flush or wait — only the timer thread
@@ -703,9 +709,10 @@ TEST(CodecServer, StreamStatsMergeAddsNewCounters) {
   EXPECT_EQ(a.deadline_misses, 5u);
 }
 
-// CacheMode precedence: an explicitly pre-set options.fingerprint_cache
-// always wins over the mode; kOff streams generate no cache traffic.
-TEST(CodecServer, CacheModeExplicitCacheWinsAndOffStaysCold) {
+// A stream's explicit options.fingerprint_cache takes its traffic; a stream
+// without one generates no cache traffic, and nothing reaches the engine's
+// cache unless a stream attached it.
+TEST(CodecServer, ExplicitCacheTakesTrafficAndNoCacheStaysCold) {
   if (!FingerprintCache::runtime_enabled()) GTEST_SKIP() << "cache force-disabled";
   const auto training = quantized_walk(31, 256);
   auto explicit_cache = std::make_shared<FingerprintCache>();
@@ -718,7 +725,6 @@ TEST(CodecServer, CacheModeExplicitCacheWinsAndOffStaysCold) {
   sc.codec = "TSLC-OPT";
   sc.options = test_options(training);
   sc.options.fingerprint_cache = explicit_cache;
-  sc.cache_mode = CacheMode::kShared;  // must lose to the explicit cache
   const StreamId s = server.open_stream(sc);
 
   StreamConfig off;
@@ -734,14 +740,14 @@ TEST(CodecServer, CacheModeExplicitCacheWinsAndOffStaysCold) {
   ASSERT_TRUE(cold_res.ok());
   EXPECT_GT(explicit_cache->size(), 0u) << "traffic must land in the explicit cache";
   EXPECT_GT(cached_res.analysis.cache.probes(), 0u);
-  EXPECT_EQ(cold_res.analysis.cache.probes(), 0u) << "CacheMode::kOff generates no probes";
+  EXPECT_EQ(cold_res.analysis.cache.probes(), 0u) << "a stream without a cache generates no probes";
   EXPECT_EQ(server.engine().fingerprint_cache()->size(), 0u)
       << "the shared engine cache must not have been wired in";
 }
 
-// CacheMode::kPrivate isolation: two private streams do not share entries,
-// while two kShared streams hit each other's.
-TEST(CodecServer, CacheModePrivateIsolatesSharedDedups) {
+// Isolation: two streams with private caches do not share entries, while
+// two streams attached to the engine's cache hit each other's.
+TEST(CodecServer, PrivateCachesIsolateSharedCacheDedups) {
   if (!FingerprintCache::runtime_enabled()) GTEST_SKIP() << "cache force-disabled";
   const auto training = quantized_walk(31, 256);
   const auto data = quantized_walk(58, 8);
@@ -751,7 +757,7 @@ TEST(CodecServer, CacheModePrivateIsolatesSharedDedups) {
   CodecOptions opts = test_options(training);
   opts.trained_e2mc = E2mcCompressor::train(training, opts.e2mc);
 
-  auto run = [&](CacheMode mode) {
+  auto run = [&](bool shared) {
     CodecServer::Config cfg;
     cfg.engine = std::make_shared<CodecEngine>(2);
     CodecServer server(cfg);
@@ -759,9 +765,12 @@ TEST(CodecServer, CacheModePrivateIsolatesSharedDedups) {
     a.name = "a";
     a.codec = "TSLC-OPT";
     a.options = opts;
-    a.cache_mode = mode;
+    a.options.fingerprint_cache =
+        shared ? server.engine().fingerprint_cache() : std::make_shared<FingerprintCache>();
     StreamConfig b = a;
     b.name = "b";
+    b.options.fingerprint_cache =
+        shared ? server.engine().fingerprint_cache() : std::make_shared<FingerprintCache>();
     const StreamId sa = server.open_stream(a);
     const StreamId sb = server.open_stream(b);
     server.submit(sa, Request{.bytes = data}).wait();
@@ -769,8 +778,8 @@ TEST(CodecServer, CacheModePrivateIsolatesSharedDedups) {
     return second.analysis.cache.hits;
   };
 
-  EXPECT_GT(run(CacheMode::kShared), 0u) << "shared mode dedups across streams";
-  EXPECT_EQ(run(CacheMode::kPrivate), 0u) << "private caches must not leak across streams";
+  EXPECT_GT(run(/*shared=*/true), 0u) << "the engine cache dedups across streams";
+  EXPECT_EQ(run(/*shared=*/false), 0u) << "private caches must not leak across streams";
 }
 
 }  // namespace

@@ -28,6 +28,7 @@
 #include "core/fingerprint_cache.h"
 #include "core/slc_codec.h"
 #include "engine/codec_engine.h"
+#include "reference_codecs.h"
 #include "server/codec_server.h"
 #include "test_util.h"
 #include "workloads/approx_memory.h"
@@ -350,14 +351,14 @@ TEST(CachedDecision, CodecKeysIsolateConfigurationsAndModels) {
 
   const Block block = test::dedup_corpus({.blocks = 1, .seed = 40})[0];
   SlcCodec::CacheOutcome oc;
-  a.decide_cached(block.view(), oc);
+  ref::slc_decide(a, block.view(), oc);
   EXPECT_TRUE(oc.probed);
   EXPECT_FALSE(oc.hit);
-  a.decide_cached(block.view(), oc);
+  ref::slc_decide(a, block.view(), oc);
   EXPECT_TRUE(oc.hit);  // repeat through the same codec hits
-  b.decide_cached(block.view(), oc);
+  ref::slc_decide(b, block.view(), oc);
   EXPECT_FALSE(oc.hit);  // different threshold: separate entry
-  c.decide_cached(block.view(), oc);
+  ref::slc_decide(c, block.view(), oc);
   EXPECT_FALSE(oc.hit);  // different trained model: separate entry
 }
 
@@ -401,8 +402,9 @@ TEST(CachedDecision, DecideCachedMatchesBatchOracleIncludingSkipWindow) {
   uncached.decide_batch(views, scratch, expected.data());
   for (int pass = 0; pass < 2; ++pass) {
     for (size_t i = 0; i < views.size(); ++i) {
+      // One block at a time: decide_batch_cached over a span of one.
       SlcCodec::CacheOutcome oc;
-      const SlcCodec::Decision got = cached.decide_cached(views[i], oc);
+      const SlcCodec::Decision got = ref::slc_decide(cached, views[i], oc);
       const std::string what = "pass " + std::to_string(pass) + " block " + std::to_string(i);
       expect_info_eq(got.info, expected[i].info, what);
       EXPECT_EQ(got.skip_start, expected[i].skip_start) << what;
@@ -463,18 +465,21 @@ TEST(BlockCodecDifferential, TslcProcessAndBatchMatchUncached) {
         CodecRegistry::instance().create_block_codec("TSLC-OPT", cached_options(nullptr));
     const auto cached = CodecRegistry::instance().create_block_codec(
         "TSLC-OPT", cached_options(std::make_shared<FingerprintCache>()));
+    const auto per_block = ref::per_block_policy(cached);
     for (const auto& [safe, threshold] : annotations) {
-      std::vector<BlockCodecResult> expected(views.size()), got(views.size());
+      std::vector<BlockCodecResult> expected(views.size()), got(views.size()),
+          scalar(views.size());
       uncached->process_batch(views, safe, threshold, expected.data());
       cached->process_batch(views, safe, threshold, got.data());
+      // The per-block reference over the same cache must agree with both
+      // batch kernels.
+      per_block->process_batch(views, safe, threshold, scalar.data());
       for (size_t i = 0; i < views.size(); ++i) {
         const std::string what = std::string(cname) + " safe=" + std::to_string(safe) +
                                  " thr=" + std::to_string(threshold) + " block " +
                                  std::to_string(i);
         expect_result_eq(got[i], expected[i], what);
-        // The scalar entry point must agree with both batch kernels.
-        expect_result_eq(cached->process(views[i], safe, threshold), expected[i],
-                         what + " (scalar)");
+        expect_result_eq(scalar[i], expected[i], what + " (scalar)");
       }
     }
   }
@@ -587,9 +592,9 @@ TEST(EngineCache, AnalyzeStreamFoldsCacheCounters) {
   const auto cached = CodecRegistry::instance().create("TSLC-OPT", cached_options(cache));
   const auto uncached = CodecRegistry::instance().create("TSLC-OPT", cached_options(nullptr));
   CodecEngine engine(2);
-  const auto expected = engine.analyze_stream(*uncached, blocks);
-  const auto first = engine.analyze_stream(*cached, blocks);
-  const auto second = engine.analyze_stream(*cached, blocks);
+  const auto expected = engine.submit_analyze(*uncached, blocks).wait();
+  const auto first = engine.submit_analyze(*cached, blocks).wait();
+  const auto second = engine.submit_analyze(*cached, blocks).wait();
   ASSERT_EQ(first.blocks.size(), expected.blocks.size());
   for (size_t i = 0; i < expected.blocks.size(); ++i) {
     for (const auto* a : {&first, &second}) {
@@ -684,12 +689,11 @@ TEST(EngineCache, SharedCacheConcurrentCommitsStayDeterministic) {
 
 // --- server-level knobs -----------------------------------------------------
 
-StreamConfig tslc_stream(const char* name, CacheMode mode = CacheMode::kShared) {
+StreamConfig tslc_stream(const char* name, std::shared_ptr<FingerprintCache> cache) {
   StreamConfig cfg;
   cfg.name = name;
   cfg.codec = "TSLC-OPT";
-  cfg.options = cached_options(nullptr);
-  cfg.cache_mode = mode;
+  cfg.options = cached_options(std::move(cache));
   return cfg;
 }
 
@@ -699,8 +703,8 @@ TEST(ServerCache, CachedStreamMatchesUncachedStream) {
   CodecServer::Config scfg;
   scfg.engine = std::make_shared<CodecEngine>(2);
   CodecServer server(scfg);
-  const StreamId u = server.open_stream(tslc_stream("uncached", CacheMode::kOff));
-  const StreamId c = server.open_stream(tslc_stream("cached"));
+  const StreamId u = server.open_stream(tslc_stream("uncached", nullptr));
+  const StreamId c = server.open_stream(tslc_stream("cached", server.engine().fingerprint_cache()));
   auto tu = server.submit(u, Request{.bytes = bytes});
   auto tc = server.submit(c, Request{.bytes = bytes});
   const Response ru = tu.wait();
@@ -721,9 +725,9 @@ TEST(ServerCache, SharedCacheDedupsAcrossStreams) {
   CodecServer::Config scfg;
   scfg.engine = std::make_shared<CodecEngine>(2);
   CodecServer server(scfg);
-  // CacheMode::kShared wires both streams to the engine's cache.
-  const StreamId a = server.open_stream(tslc_stream("tenant-a"));
-  const StreamId b = server.open_stream(tslc_stream("tenant-b"));
+  // Both streams attach the engine's cache.
+  const StreamId a = server.open_stream(tslc_stream("tenant-a", server.engine().fingerprint_cache()));
+  const StreamId b = server.open_stream(tslc_stream("tenant-b", server.engine().fingerprint_cache()));
   server.submit(a, Request{.bytes = bytes}).wait();
   server.submit(b, Request{.bytes = bytes}).wait();
   server.drain();
@@ -745,8 +749,13 @@ TEST(ServerCache, PrivateCachesIsolateStreams) {
   scfg.engine = std::make_shared<CodecEngine>(2);
   CodecServer server(scfg);
   // Private caches run in paranoia mode: per-stream, verify-on-hit.
-  const StreamId a = server.open_stream(tslc_stream("iso-a", CacheMode::kPrivateVerify));
-  const StreamId b = server.open_stream(tslc_stream("iso-b", CacheMode::kPrivateVerify));
+  const auto private_verify = [] {
+    FingerprintCache::Config cache_cfg;
+    cache_cfg.verify_on_hit = true;
+    return std::make_shared<FingerprintCache>(cache_cfg);
+  };
+  const StreamId a = server.open_stream(tslc_stream("iso-a", private_verify()));
+  const StreamId b = server.open_stream(tslc_stream("iso-b", private_verify()));
   auto ta = server.submit(a, Request{.bytes = bytes});
   const Response ra = ta.wait();
   // wait() between the two b submits so the warm pass provably runs after
