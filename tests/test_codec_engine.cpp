@@ -86,11 +86,11 @@ TEST(CodecEngine, ThreadCountInvariantResults) {
   }
 }
 
-// The flat-buffer callers (the ratio benches, the server's Request::bytes)
-// slice through to_blocks: for every ragged size, including empty input, the
-// analysis of the padded tail must equal that of an explicitly zero-padded
-// buffer, block for block.
-TEST(CodecEngine, RaggedBufferAnalyzesAsZeroPaddedBlocks) {
+// Analysing a flat byte buffer: the callers (the ratio benches, the server's
+// Request::bytes) slice through to_blocks(pad_tail): for every ragged size,
+// including empty input, the analysis of the padded tail must equal that of an
+// explicitly zero-padded buffer, block for block.
+TEST(CodecEngine, AnalyzeBytesTailPaddingMatchesToBlocks) {
   const auto training = quantized_walk(31, 256);
   const auto comp = CodecRegistry::instance().create("E2MC", test_options(training));
   const auto base = quantized_walk(36, 6);
@@ -128,6 +128,25 @@ TEST(CodecEngine, RaggedBufferAnalyzesAsZeroPaddedBlocks) {
     EXPECT_EQ(from_ragged.lossy_blocks, from_padded.lossy_blocks) << bytes;
     EXPECT_EQ(from_ragged.truncated_symbols, from_padded.truncated_symbols) << bytes;
   }
+}
+
+// A ragged byte buffer analyses as whole blocks: the tail is zero-padded into
+// a final full block, and each block's size is what the codec reports for it.
+TEST(CodecEngine, AnalyzeBytesPadsTail) {
+  const auto training = quantized_walk(31, 256);
+  auto data = quantized_walk(34, 3);
+  data.resize(data.size() - 40);  // ragged tail
+  const auto comp = CodecRegistry::instance().create("E2MC", test_options(training));
+
+  CodecEngine engine(2);
+  const auto blocks = to_blocks(data, kBlockBytes, /*pad_tail=*/true);
+  ASSERT_EQ(blocks.size(), 3u);  // tail zero-padded into a full block
+  const auto res = engine.submit_analyze(*comp, blocks, 32).wait();
+  ASSERT_EQ(res.blocks.size(), 3u);
+  for (size_t i = 0; i < 3; ++i)
+    EXPECT_EQ(res.blocks[i].bit_size, comp->compressed_bits(blocks[i].view()));
+  for (size_t b = data.size() % kBlockBytes; b < kBlockBytes; ++b)
+    EXPECT_EQ(blocks[2].bytes()[b], 0) << "padding byte " << b;
 }
 
 // The one per-block fold the engine and the server share: folding a stream
