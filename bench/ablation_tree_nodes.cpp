@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "core/slc_compressor.h"
+#include "core/slc_codec.h"
 #include "core/tree_selector.h"
 
 using namespace slc;
@@ -29,10 +29,9 @@ int main() {
 
   std::vector<double> waste_base_all, waste_opt_all;
   for (const std::string& name : names) {
-    const auto slc_comp = std::dynamic_pointer_cast<const SlcCompressor>(
-        CodecRegistry::instance().create("TSLC-PRED",
-                                         codec_options_for(name, mag, threshold)));
-    const SlcCodec& codec = slc_comp->codec();
+    const auto slc = std::dynamic_pointer_cast<const SlcCodec>(CodecRegistry::instance().create(
+        "TSLC-PRED", codec_options_for(name, mag, threshold)));
+    const SlcCodec& codec = *slc;
     const E2mcCompressor& e2mc = codec.lossless();
     const auto blocks = to_blocks(workload_image_cached(name));
 

@@ -83,8 +83,6 @@ int main(int argc, char** argv) try {
 
   print_banner("Dedup decision throughput — fingerprint memo vs full probe",
                "decision-path memoization (no paper figure)");
-  if (!FingerprintCache::runtime_enabled())
-    std::printf("note: SLC_FINGERPRINT_CACHE disables the memo; cached rows degenerate to ~1x\n");
 
   CodecOptions opts = codec_options_for(benchmark, kDefaultMagBytes, 16);
   const auto uncached = CodecRegistry::instance().create("TSLC-OPT", opts);
@@ -125,8 +123,7 @@ int main(int argc, char** argv) try {
     cache->clear();
     cached->analyze_batch(views, out.data());
     CacheCounters tally;
-    for (const BlockAnalysis& a : out)
-      tally.record(a.cache_probed, a.cache_hit, a.cache_evicted, a.cache_collision);
+    for (const BlockAnalysis& a : out) tally.record(a.cache);
     report.set_meta("hit_rate_" + dup_tag, std::to_string(tally.hit_rate()));
 
     report.add(std::move(mu));

@@ -41,10 +41,10 @@ int main() {
       const auto comp =
           CodecRegistry::instance().create(schemes[s], codec_options_for(name, kDefaultMagBytes, 16));
       const auto res = engine.submit_analyze(*comp, blocks, kDefaultMagBytes).wait();
-      rows[s].raw.push_back(res.ratios.raw_ratio());
-      rows[s].eff.push_back(res.ratios.effective_ratio());
-      cells.push_back(TextTable::fmt(res.ratios.raw_ratio(), 2));
-      cells.push_back(TextTable::fmt(res.ratios.effective_ratio(), 2));
+      rows[s].raw.push_back(res.raw_ratio());
+      rows[s].eff.push_back(res.effective_ratio());
+      cells.push_back(TextTable::fmt(res.raw_ratio(), 2));
+      cells.push_back(TextTable::fmt(res.effective_ratio(), 2));
     }
     table.add_row(cells);
   }

@@ -27,21 +27,21 @@ int main() {
         CodecRegistry::instance().create("E2MC", codec_options_for(name, kDefaultMagBytes, 16));
     const std::vector<uint8_t>& image = workload_image_cached(name);
     // One size-only engine pass; the per-MAG rounding happens in the
-    // accumulators (raw bits do not depend on MAG).
+    // per-MAG folds (raw bits do not depend on MAG).
     const auto res = engine.submit_analyze(*e2mc, to_blocks(image), kDefaultMagBytes).wait();
 
     std::vector<std::string> cells = {name};
     double raw = 0;
     for (int m = 0; m < 3; ++m) {
-      RatioAccumulator acc(mags[m]);
-      for (const BlockAnalysis& a : res.blocks) acc.add(kBlockBytes * 8, a.bit_size);
+      CommitStats acc;
+      for (const BlockAnalysis& a : res.blocks) acc.add(a, kBlockBytes, mags[m]);
       if (m == 0) {
         raw = acc.raw_ratio();
         raw_all.push_back(raw);
         cells.push_back(TextTable::fmt(raw, 2));
       }
-      eff_all[m].push_back(acc.effective_ratio());
-      cells.push_back(TextTable::fmt(acc.effective_ratio(), 2));
+      eff_all[m].push_back(acc.effective_ratio(mags[m]));
+      cells.push_back(TextTable::fmt(acc.effective_ratio(mags[m]), 2));
     }
     t.add_row(cells);
   }

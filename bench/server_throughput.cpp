@@ -123,10 +123,10 @@ bool results_identical(const std::vector<CodecEngine::StreamAnalysis>& a,
   if (a.size() != b.size()) return false;
   for (size_t r = 0; r < a.size(); ++r) {
     if (a[r].blocks.size() != b[r].blocks.size()) return false;
-    if (a[r].ratios.raw_ratio() != b[r].ratios.raw_ratio()) return false;
-    if (a[r].ratios.effective_ratio() != b[r].ratios.effective_ratio()) return false;
-    if (a[r].lossy_blocks != b[r].lossy_blocks) return false;
-    if (a[r].truncated_symbols != b[r].truncated_symbols) return false;
+    if (a[r].raw_ratio() != b[r].raw_ratio()) return false;
+    if (a[r].effective_ratio() != b[r].effective_ratio()) return false;
+    if (a[r].totals.lossy_blocks != b[r].totals.lossy_blocks) return false;
+    if (a[r].totals.truncated_symbols != b[r].totals.truncated_symbols) return false;
     for (size_t i = 0; i < a[r].blocks.size(); ++i)
       if (a[r].blocks[i].bit_size != b[r].blocks[i].bit_size) return false;
   }

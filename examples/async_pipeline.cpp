@@ -66,9 +66,9 @@ int main() {
   const auto res_a = fut_a.wait();
   const auto res_b = fut_b.wait();
   std::printf("stream A: %zu blocks, raw ratio %.3f, effective %.3f\n", res_a.blocks.size(),
-              res_a.ratios.raw_ratio(), res_a.ratios.effective_ratio());
+              res_a.raw_ratio(), res_a.effective_ratio());
   std::printf("stream B: %zu blocks, raw ratio %.3f, effective %.3f\n\n", res_b.blocks.size(),
-              res_b.ratios.raw_ratio(), res_b.ratios.effective_ratio());
+              res_b.raw_ratio(), res_b.effective_ratio());
 
   // 2. The memory-model pipeline: queue region r's commit, generate region
   //    r+1 while it compresses. span() settles a region's own pending commit,

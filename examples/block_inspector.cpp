@@ -10,7 +10,7 @@
 
 #include "common/stats.h"
 #include "compress/codec_registry.h"
-#include "core/slc_compressor.h"
+#include "core/slc_codec.h"
 #include "engine/codec_engine.h"
 #include "workloads/workload.h"
 
@@ -33,9 +33,7 @@ int main(int argc, char** argv) {
   opts.training_data = image;
   opts.trained_e2mc = std::dynamic_pointer_cast<const E2mcCompressor>(
       CodecRegistry::instance().create("E2MC", opts));
-  const auto slc_comp = std::dynamic_pointer_cast<const SlcCompressor>(
-      CodecRegistry::instance().create("TSLC-OPT", opts));
-  const SlcCodec& codec = slc_comp->codec();
+  const auto slc = CodecRegistry::instance().create("TSLC-OPT", opts);
   CodecEngine engine;
 
   // Scheme comparison (the Fig. 1 view of this one benchmark): every
@@ -45,8 +43,7 @@ int main(int argc, char** argv) {
     for (const std::string& name : CodecRegistry::instance().lossless_names()) {
       const auto comp = CodecRegistry::instance().create(name, opts);
       const auto res = engine.submit_analyze(*comp, blocks, mag).wait();
-      std::printf("%-8s %10.3f %10.3f\n", name.c_str(), res.ratios.raw_ratio(),
-                  res.ratios.effective_ratio());
+      std::printf("%-8s %10.3f %10.3f\n", name.c_str(), res.raw_ratio(), res.effective_ratio());
     }
   }
 
@@ -54,12 +51,12 @@ int main(int argc, char** argv) {
   Histogram size_hist;
   uint64_t lossy = 0, raw = 0, bursts_e2mc = 0, bursts_slc = 0, truncated = 0;
   for (const Block& b : blocks) {
-    const auto info = codec.analyze(b.view());
+    const BlockAnalysis info = slc->analyze(b.view());
     size_hist.add(static_cast<int64_t>((info.lossless_bits / 8) / 8 * 8));
     lossy += info.lossy ? 1 : 0;
-    raw += info.stored_uncompressed ? 1 : 0;
+    raw += info.is_compressed ? 0 : 1;
     bursts_e2mc += bursts_for_bits(info.lossless_bits, mag, b.size());
-    bursts_slc += info.bursts;
+    bursts_slc += bursts_for_bits(info.bit_size, mag, b.size());
     truncated += info.truncated_symbols;
   }
 

@@ -28,6 +28,7 @@
 
 #include "common/rng.h"
 #include "common/stats.h"
+#include "core/fingerprint_cache.h"
 #include "server/codec_server.h"
 
 using namespace slc;
@@ -69,9 +70,9 @@ int main() {
   std::printf("server: %u engine worker(s), batch %zu blocks, budget %zu blocks\n\n",
               server.engine().num_threads(), cfg.batch_blocks, cfg.max_inflight_blocks);
 
-  // Attach the streams to the engine-wide fingerprint memo: repeated block
+  // Attach the streams to one shared fingerprint memo: repeated block
   // content skips the Fig. 4 probe and shows up in the hit-rate column.
-  opts.fingerprint_cache = cfg.engine->fingerprint_cache();
+  opts.fingerprint_cache = std::make_shared<FingerprintCache>();
   StreamConfig sweep{"sweep", "E2MC", opts, StreamPriority::kBulk};
   StreamConfig commits{"commits", "TSLC-OPT", opts, StreamPriority::kLatency};
   StreamConfig probe{"probe", "BDI", CodecOptions{.mag_bytes = 32}, StreamPriority::kNormal};
@@ -100,8 +101,8 @@ int main() {
     const Response res = ticket.wait();
     std::printf("commit %llu (retry): %zu blocks, %llu lossy, effective ratio %.3f\n",
                 static_cast<unsigned long long>(res.tag), res.analysis.blocks.size(),
-                static_cast<unsigned long long>(res.analysis.lossy_blocks),
-                res.analysis.ratios.effective_ratio());
+                static_cast<unsigned long long>(res.analysis.totals.lossy_blocks),
+                res.analysis.effective_ratio());
   }
 
   // Compress client: the same stream can ask for real payloads. A deadline
@@ -131,7 +132,7 @@ int main() {
     std::printf("probe: shed at admission (budget saturated)\n");
   } else {
     std::printf("probe: %zu blocks through BDI, raw ratio %.3f\n",
-                probe_res.analysis.blocks.size(), probe_res.analysis.ratios.raw_ratio());
+                probe_res.analysis.blocks.size(), probe_res.analysis.raw_ratio());
   }
 
   // Barrier, then per-stream + aggregate accounting.

@@ -8,7 +8,7 @@
 
 #include "common/block.h"
 #include "compress/codec_registry.h"
-#include "core/slc_compressor.h"
+#include "core/slc_codec.h"
 
 using namespace slc;
 
@@ -49,26 +49,28 @@ int main() {
   // 2. The same block through SLC (constructed by name too): if the
   //    compressed size is a few bytes above a burst multiple, SLC truncates
   //    symbols to fit the budget.
-  const auto slc_comp = std::dynamic_pointer_cast<const SlcCompressor>(
+  const auto slc = std::dynamic_pointer_cast<const SlcCodec>(
       CodecRegistry::instance().create("TSLC-OPT", opts));
-  const SlcCodec& codec = slc_comp->codec();
-  const SlcCompressedBlock sc = codec.compress(block.view());
+  const BlockView view = block.view();
+  SlcCodec::LengthScratch scratch;
+  SlcCodec::Decision d;
+  slc->decide_batch(std::span<const BlockView>(&view, 1), scratch, &d);
+  const CompressedBlock sc = slc->compress(view);
 
-  std::printf("\nSLC (%s, threshold %zu B):\n", slc_comp->name().c_str(),
-              codec.config().threshold_bytes);
-  std::printf("  lossless size : %zu bits\n", sc.info.lossless_bits);
-  std::printf("  bit budget gap: %zu extra bits above the burst multiple\n",
-              sc.info.extra_bits);
-  std::printf("  mode          : %s\n", sc.info.lossy ? "LOSSY (truncated)" : "lossless");
-  if (sc.info.lossy) {
+  std::printf("\nSLC (%s, threshold %zu B):\n", slc->name().c_str(),
+              slc->config().threshold_bytes);
+  std::printf("  lossless size : %zu bits\n", d.analysis.lossless_bits);
+  std::printf("  bit budget gap: %zu extra bits above the burst multiple\n", d.extra_bits);
+  std::printf("  mode          : %s\n", d.analysis.lossy ? "LOSSY (truncated)" : "lossless");
+  if (d.analysis.lossy) {
     std::printf("  truncated     : %zu symbols (%zu bits of codes)\n",
-                sc.info.truncated_symbols, sc.info.truncated_bits);
+                d.analysis.truncated_symbols, d.truncated_bits);
   }
-  std::printf("  stored size   : %zu bits -> %zu burst(s)\n", sc.info.final_bits,
-              sc.info.bursts);
+  std::printf("  stored size   : %zu bits -> %zu burst(s)\n", sc.bit_size,
+              bursts_for_bits(sc.bit_size, slc->config().mag_bytes));
 
   // 3. Decompress and compare.
-  const Block out = codec.decompress(sc, block.size());
+  const Block out = slc->decompress(sc, block.size());
   size_t diff_symbols = 0;
   for (size_t s = 0; s < kSymbolsPerBlock; ++s)
     if (out.symbol(s) != block.symbol(s)) ++diff_symbols;

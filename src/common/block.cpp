@@ -48,4 +48,12 @@ std::vector<BlockView> to_views(std::span<const Block> blocks) {
   return views;
 }
 
+std::vector<BlockView> to_views(std::span<const uint8_t> data) {
+  std::vector<BlockView> views;
+  views.reserve(data.size() / kBlockBytes);
+  for (size_t off = 0; off + kBlockBytes <= data.size(); off += kBlockBytes)
+    views.emplace_back(data.subspan(off, kBlockBytes));
+  return views;
+}
+
 }  // namespace slc

@@ -112,5 +112,8 @@ std::vector<Block> to_blocks(std::span<const uint8_t> data, size_t block_bytes =
 /// batch codec kernels take. The storage behind `blocks` must outlive the
 /// returned views.
 std::vector<BlockView> to_views(std::span<const Block> blocks);
+/// Views over the consecutive whole kBlockBytes blocks of a flat buffer (a
+/// region's storage); a ragged tail is not viewed.
+std::vector<BlockView> to_views(std::span<const uint8_t> data);
 
 }  // namespace slc

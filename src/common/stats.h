@@ -39,9 +39,18 @@ class RunningStats {
 /// need a floor to be averageable).
 double geometric_mean(std::span<const double> xs, double floor = 1e-300);
 
-/// Outcome counters for the block-fingerprint decision memo
-/// (core/fingerprint_cache.h), embedded in CommitStats and the per-stream
-/// server tables. Unlike every other commit counter these are NOT
+/// One block's fingerprint-memo outcome (core/fingerprint_cache.h), carried
+/// by BlockAnalysis::cache. All false when the scheme has no cache. The
+/// decision is identical either way; these only feed CacheCounters.
+struct CacheOutcome {
+  bool probed = false;     ///< the decision memo was consulted
+  bool hit = false;        ///< decision served without the E2MC probe
+  bool evicted = false;    ///< inserting this block displaced an LRU entry
+  bool collision = false;  ///< verify-on-hit caught a fingerprint collision
+};
+
+/// Outcome counters for the block-fingerprint decision memo, embedded in
+/// CommitStats. Unlike every other commit counter these are NOT
 /// thread-count invariant: whether block i hits depends on whether a
 /// concurrent shard already inserted its duplicate. The *decisions* stay
 /// invariant either way (a hit returns exactly the decision the miss path
@@ -53,15 +62,14 @@ struct CacheCounters {
   uint64_t evictions = 0;   ///< LRU entries displaced by inserts
   uint64_t collisions = 0;  ///< verify-on-hit content mismatches (fingerprint collision)
 
-  /// Folds one block's probe outcome in (the shape BlockAnalysis /
-  /// BlockCodecResult carry it in).
-  void record(bool probed, bool hit, bool evicted, bool collision) {
-    if (probed) {
-      hits += hit ? 1 : 0;
-      misses += hit ? 0 : 1;
+  /// Folds one block's probe outcome in.
+  void record(const CacheOutcome& o) {
+    if (o.probed) {
+      hits += o.hit ? 1 : 0;
+      misses += o.hit ? 0 : 1;
     }
-    evictions += evicted ? 1 : 0;
-    collisions += collision ? 1 : 0;
+    evictions += o.evicted ? 1 : 0;
+    collisions += o.collision ? 1 : 0;
   }
 
   void merge(const CacheCounters& o) {

@@ -187,38 +187,32 @@ Block BdiCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) c
   BitReader r(cb.payload);
   const auto enc = static_cast<BdiEncoding>(r.get(kTagBits));
   Block out(block_bytes);
-  switch (enc) {
-    case BdiEncoding::kZeros:
-      return out;
-    case BdiEncoding::kRepeat64: {
-      const uint64_t v = r.get(64);
-      for (size_t i = 0; i < block_bytes / 8; ++i) out.set_word64(i, v);
-      return out;
-    }
-    case BdiEncoding::kUncompressed:
-      assert(false && "uncompressed blocks must have is_compressed=false");
-      return out;
-    default: {
-      const Geometry g = geometry(enc);
-      const size_t n = block_bytes / g.base_bytes;
-      const uint64_t base = r.get(static_cast<unsigned>(g.base_bytes * 8));
-      std::vector<bool> use_base(n);
-      for (size_t i = 0; i < n; ++i) use_base[i] = r.get_bit();
-      for (size_t i = 0; i < n; ++i) {
-        const uint64_t raw = r.get(static_cast<unsigned>(g.delta_bytes * 8));
-        const int64_t delta = sext(raw, g.delta_bytes);
-        const uint64_t v = use_base[i] ? base + static_cast<uint64_t>(delta)
-                                       : static_cast<uint64_t>(delta);
-        switch (g.base_bytes) {
-          case 2: out.set_symbol(i, static_cast<uint16_t>(v)); break;
-          case 4: out.set_word32(i, static_cast<uint32_t>(v)); break;
-          case 8: out.set_word64(i, v); break;
-          default: assert(false);
-        }
+  if (enc == BdiEncoding::kRepeat64) {
+    const uint64_t v = r.get(64);
+    for (size_t i = 0; i < block_bytes / 8; ++i) out.set_word64(i, v);
+  } else if (enc != BdiEncoding::kZeros) {
+    // A compressed payload never carries the uncompressed tag, and tags
+    // past the last encoding are unused.
+    const Geometry g = geometry(enc);
+    if (g.base_bytes == 0) throw std::invalid_argument("BDI: invalid encoding tag");
+    const size_t n = block_bytes / g.base_bytes;
+    const uint64_t base = r.get(static_cast<unsigned>(g.base_bytes * 8));
+    std::vector<bool> use_base(n);
+    for (size_t i = 0; i < n; ++i) use_base[i] = r.get_bit();
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t raw = r.get(static_cast<unsigned>(g.delta_bytes * 8));
+      const int64_t delta = sext(raw, g.delta_bytes);
+      const uint64_t v = use_base[i] ? base + static_cast<uint64_t>(delta)
+                                     : static_cast<uint64_t>(delta);
+      switch (g.base_bytes) {
+        case 2: out.set_symbol(i, static_cast<uint16_t>(v)); break;
+        case 4: out.set_word32(i, static_cast<uint32_t>(v)); break;
+        default: out.set_word64(i, v); break;
       }
-      return out;
     }
   }
+  if (r.overrun()) throw std::invalid_argument("BDI: payload ends inside the block");
+  return out;
 }
 
 void BdiCompressor::analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const {

@@ -7,8 +7,9 @@
 // CodecRegistry::create_block_codec().
 //   RawBlockCodec      — no compression (every block costs all bursts)
 //   LosslessBlockCodec — any lossless Compressor (E2MC baseline, BDI, ...)
-// process_batch() returns each block's burst count (timing) and its contents
-// as the GPU will later observe them (functional); only lossy codecs mutate.
+// process_batch() reports each block's outcome (its burst count, for timing,
+// follows from the stored size) and leaves the block's bytes as the GPU will
+// later observe them (functional); only lossy codecs mutate.
 #pragma once
 
 #include <memory>
@@ -18,30 +19,14 @@
 
 namespace slc {
 
-/// Result of pushing one block through the memory-controller codec.
-struct BlockCodecResult {
-  size_t bursts = 0;          ///< MAG bursts this block costs in DRAM
-  size_t lossless_bits = 0;   ///< compressed size before any truncation
-  size_t final_bits = 0;      ///< stored size
-  bool lossy = false;         ///< true if symbols were approximated
-  bool stored_uncompressed = false;
-  size_t truncated_symbols = 0;
-  Block decoded;              ///< block as later reads will observe it
-
-  // Fingerprint-memo outcome (see BlockAnalysis): hit-rate accounting only;
-  // every decision field above is cache-invariant.
-  bool cache_probed = false;
-  bool cache_hit = false;
-  bool cache_evicted = false;
-  bool cache_collision = false;
-};
-
 class BlockCodec {
  public:
   virtual ~BlockCodec() = default;
 
-  /// Compresses + decompresses a span of blocks: fills out[0..blocks.size())
-  /// with each block's result (out[i] belongs to blocks[i]).
+  /// Runs the policy over the consecutive kBlockBytes blocks of `data`:
+  /// fills out[i] with block i's outcome and overwrites each block the
+  /// policy approximates (out[i].lossy) with its decoded contents, in place;
+  /// every other block's bytes stay untouched.
   /// `safe_to_approx` and `threshold_bytes` come from the region's
   /// extended-cudaMalloc annotation and apply to the whole span — the
   /// region-commit shape, where every block shares the region's annotation;
@@ -50,8 +35,8 @@ class BlockCodec {
   /// tests/test_batch_kernels.cpp), and scratch must stay in the call frame:
   /// a BlockCodec stays immutable after construction, so concurrent
   /// CodecEngine shards may run it on disjoint ranges.
-  virtual void process_batch(std::span<const BlockView> blocks, bool safe_to_approx,
-                             size_t threshold_bytes, BlockCodecResult* out) const = 0;
+  virtual void process_batch(std::span<uint8_t> data, bool safe_to_approx,
+                             size_t threshold_bytes, BlockAnalysis* out) const = 0;
 
   virtual size_t mag_bytes() const = 0;
   virtual std::string name() const = 0;
@@ -66,8 +51,8 @@ class BlockCodec {
 class RawBlockCodec final : public BlockCodec {
  public:
   explicit RawBlockCodec(size_t mag_bytes = kDefaultMagBytes) : mag_(mag_bytes) {}
-  void process_batch(std::span<const BlockView> blocks, bool safe_to_approx,
-                     size_t threshold_bytes, BlockCodecResult* out) const override;
+  void process_batch(std::span<uint8_t> data, bool safe_to_approx, size_t threshold_bytes,
+                     BlockAnalysis* out) const override;
   size_t mag_bytes() const override { return mag_; }
   std::string name() const override { return "RAW"; }
 
@@ -83,8 +68,8 @@ class LosslessBlockCodec final : public BlockCodec {
       : comp_(std::move(comp)), mag_(mag_bytes) {}
   /// Delegates the size pass to the compressor's analyze_batch kernel, so
   /// region commits run at batch speed.
-  void process_batch(std::span<const BlockView> blocks, bool safe_to_approx,
-                     size_t threshold_bytes, BlockCodecResult* out) const override;
+  void process_batch(std::span<uint8_t> data, bool safe_to_approx, size_t threshold_bytes,
+                     BlockAnalysis* out) const override;
   size_t mag_bytes() const override { return mag_; }
   std::string name() const override { return comp_->name(); }
   const Compressor& compressor() const { return *comp_; }

@@ -1,7 +1,5 @@
 #include "compress/compressor.h"
 
-#include <algorithm>
-#include <cassert>
 #include <stdexcept>
 #include <string>
 
@@ -40,35 +38,30 @@ Block raw_block(std::span<const uint8_t> payload, size_t block_bytes) {
   return Block(payload.first(block_bytes));
 }
 
-void RatioAccumulator::add(size_t original_bits, size_t compressed_bits) {
-  ++blocks_;
-  original_bits_ += original_bits;
-  // A scheme never stores more than the raw block (falls back to
-  // uncompressed), so clamp for accounting.
-  const size_t raw = std::min(compressed_bits, original_bits);
-  raw_bits_ += raw;
-  // Effective size: whole bursts, at least one, at most the raw block.
-  size_t eff = round_up_to_mag_bits(raw, mag_bytes_);
-  eff = std::max(eff, mag_bytes_ * 8);
-  eff = std::min(eff, original_bits);
-  effective_bits_ += eff;
+size_t CommitStats::add(const BlockAnalysis& a, size_t block_bytes, size_t mag_bytes) {
+  const size_t block_bursts = bursts_for_bits(a.bit_size, mag_bytes, block_bytes);
+  ++blocks;
+  lossy_blocks += a.lossy ? 1 : 0;
+  uncompressed_blocks += a.is_compressed ? 0 : 1;
+  bursts += block_bursts;
+  truncated_symbols += a.truncated_symbols;
+  original_bits += block_bytes * 8;
+  lossless_bits += a.lossless_bits;
+  final_bits += a.bit_size;
+  cache.record(a.cache);
+  return block_bursts;
 }
 
-void RatioAccumulator::merge(const RatioAccumulator& other) {
-  assert(mag_bytes_ == other.mag_bytes_);
-  blocks_ += other.blocks_;
-  original_bits_ += other.original_bits_;
-  raw_bits_ += other.raw_bits_;
-  effective_bits_ += other.effective_bits_;
-}
-
-double RatioAccumulator::raw_ratio() const {
-  return raw_bits_ ? static_cast<double>(original_bits_) / static_cast<double>(raw_bits_) : 0.0;
-}
-
-double RatioAccumulator::effective_ratio() const {
-  return effective_bits_ ? static_cast<double>(original_bits_) / static_cast<double>(effective_bits_)
-                         : 0.0;
+void CommitStats::merge(const CommitStats& o) {
+  blocks += o.blocks;
+  lossy_blocks += o.lossy_blocks;
+  uncompressed_blocks += o.uncompressed_blocks;
+  bursts += o.bursts;
+  truncated_symbols += o.truncated_symbols;
+  original_bits += o.original_bits;
+  lossless_bits += o.lossless_bits;
+  final_bits += o.final_bits;
+  cache.merge(o.cache);
 }
 
 }  // namespace slc

@@ -1,6 +1,6 @@
-// Common interface for block compressors (BDI, FPC, C-PACK, E2MC, Huffman,
-// and the SLC adapters) plus the raw/effective compression-ratio bookkeeping
-// from the paper.
+// Common interface for block compressors (BDI, FPC, C-PACK, E2MC, Huffman
+// and the SLC codecs), plus the per-block outcome record and its counters,
+// which carry the raw/effective compression-ratio bookkeeping from the paper.
 //
 // All schemes operate on one 128 B memory block at a time and report an exact
 // compressed size in bits. The *raw* ratio divides original bits by these
@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/block.h"
+#include "common/stats.h"
 
 namespace slc {
 
@@ -30,25 +31,84 @@ struct CompressedBlock {
   size_t byte_size() const { return (bit_size + 7) / 8; }
 };
 
-/// Size-only outcome of compressing one block — everything the ratio studies
-/// and the timing simulator need, without materializing a payload. For
+/// The outcome of compressing one block: everything the ratio studies, the
+/// commit path and the timing simulator need, without a payload. It is the
+/// one per-block record from the codec kernels (Compressor::analyze_batch,
+/// BlockCodec::process_batch) to the counters (CommitStats::add). For
 /// lossless schemes `lossless_bits == bit_size` and the lossy fields stay
-/// zero; the SLC adapters fill all fields from the Fig. 4 mode decision.
+/// zero; SLC fills all fields from the Fig. 4 mode decision. The burst count
+/// is not stored: it is bit_size rounded up to whole MAG bursts, derived at
+/// the fold.
 struct BlockAnalysis {
   size_t bit_size = 0;          ///< stored size in bits (raw size if uncompressed)
   bool is_compressed = false;
   bool lossy = false;           ///< symbols were approximated (SLC only)
   size_t lossless_bits = 0;     ///< size before any truncation
   size_t truncated_symbols = 0; ///< approximated symbols (SLC only)
+  /// Fingerprint-memo outcome (TSLC-* codecs with a cache only). The fields
+  /// above are identical with or without it.
+  CacheOutcome cache{};
+};
 
-  // Fingerprint-memo outcome for this block (core/fingerprint_cache.h; all
-  // false when the scheme has no cache or it is disabled). The decision
-  // fields above are identical either way — these only feed hit-rate
-  // accounting (CacheCounters), never determinism checks.
-  bool cache_probed = false;     ///< the decision memo was consulted
-  bool cache_hit = false;        ///< decision served without the E2MC probe
-  bool cache_evicted = false;    ///< inserting this block displaced an entry
-  bool cache_collision = false;  ///< verify-on-hit caught a fingerprint collision
+/// Counters over a stream of block outcomes: an ApproxMemory commit, a
+/// CodecEngine analysis sweep, a CodecServer stream. All integers, so
+/// merging is exact in any order.
+struct CommitStats {
+  uint64_t blocks = 0;
+  uint64_t lossy_blocks = 0;
+  uint64_t uncompressed_blocks = 0;
+  uint64_t bursts = 0;
+  uint64_t truncated_symbols = 0;
+  uint64_t original_bits = 0;
+  uint64_t lossless_bits = 0;
+  uint64_t final_bits = 0;
+  /// Fingerprint-memo outcomes over the blocks (all zero for codecs without
+  /// a cache). Unlike every field above, these counters are NOT
+  /// thread-count invariant when a cache is shared across workers —
+  /// compare cached runs with same_decisions(), not operator==.
+  CacheCounters cache;
+
+  /// Folds one block's outcome in: the one per-block fold. The block costs
+  /// bursts_for_bits(a.bit_size, mag_bytes, block_bytes) MAG bursts, which
+  /// is returned for callers that store it (the commit's burst table).
+  size_t add(const BlockAnalysis& a, size_t block_bytes, size_t mag_bytes);
+
+  /// Folds another accumulator into this one.
+  void merge(const CommitStats& o);
+
+  double avg_bursts() const {
+    return blocks ? static_cast<double>(bursts) / static_cast<double>(blocks) : 0.0;
+  }
+  double lossy_fraction() const {
+    return blocks ? static_cast<double>(lossy_blocks) / static_cast<double>(blocks) : 0.0;
+  }
+  /// Original over stored bits (the paper's raw compression ratio).
+  double raw_ratio() const {
+    return final_bits ? static_cast<double>(original_bits) / static_cast<double>(final_bits)
+                      : 0.0;
+  }
+  /// Original over fetched bits, whole `mag_bytes` bursts per block (the
+  /// paper's effective compression ratio).
+  double effective_ratio(size_t mag_bytes) const {
+    return bursts ? static_cast<double>(original_bits) /
+                        static_cast<double>(bursts * mag_bytes * 8)
+                  : 0.0;
+  }
+
+  /// All-field equality — the determinism checks compare whole accumulators
+  /// so a new counter can never silently escape them. For runs with a
+  /// fingerprint cache enabled this is stricter than the determinism
+  /// contract (hit/miss tallies race); those compare same_decisions().
+  bool operator==(const CommitStats&) const = default;
+
+  /// Every decision-derived counter equal, cache tallies ignored — the
+  /// equality a cached run is guaranteed to share with an uncached (or
+  /// differently-threaded) run of the same stream.
+  bool same_decisions(const CommitStats& o) const {
+    CommitStats a = *this, b = o;
+    a.cache = b.cache = {};
+    return a == b;
+  }
 };
 
 /// Abstract block compressor.
@@ -104,33 +164,5 @@ class Compressor {
 /// Payloads reach the decoders from outside the program, so a payload
 /// shorter than `block_bytes` throws std::invalid_argument.
 Block raw_block(std::span<const uint8_t> payload, size_t block_bytes);
-
-/// Accumulates raw and effective compression ratios over a stream of blocks
-/// (per benchmark in Fig. 1). Effective size is the compressed size rounded
-/// up to a whole number of MAG bursts, floored at one burst and capped at the
-/// uncompressed block size.
-class RatioAccumulator {
- public:
-  explicit RatioAccumulator(size_t mag_bytes = kDefaultMagBytes) : mag_bytes_(mag_bytes) {}
-
-  void add(size_t original_bits, size_t compressed_bits);
-
-  /// Folds another accumulator (same MAG) into this one. All counters are
-  /// integers, so merging is exact and order-independent — the property the
-  /// CodecEngine relies on for thread-count-invariant results.
-  void merge(const RatioAccumulator& other);
-
-  double raw_ratio() const;
-  double effective_ratio() const;
-  size_t blocks() const { return blocks_; }
-  size_t mag_bytes() const { return mag_bytes_; }
-
- private:
-  size_t mag_bytes_;
-  size_t blocks_ = 0;
-  uint64_t original_bits_ = 0;
-  uint64_t raw_bits_ = 0;
-  uint64_t effective_bits_ = 0;
-};
 
 }  // namespace slc

@@ -1,7 +1,6 @@
 #include "compress/cpack.h"
 
 #include <array>
-#include <cassert>
 #include <stdexcept>
 
 #include "common/bitstream.h"
@@ -178,9 +177,7 @@ Block CpackCompressor::decompress(const CompressedBlock& cb, size_t block_bytes)
             word = static_cast<uint32_t>(r.get(8));  // zzzx
           }
         } else {
-          const bool b4 = r.get_bit();
-          assert(!b4 && "1111 prefix is unused in C-PACK");
-          (void)b4;
+          if (r.get_bit()) throw std::invalid_argument("C-PACK: unused 1111 prefix");
           const auto idx = static_cast<size_t>(r.get(index_bits_));  // mmmx
           const auto lo = static_cast<uint32_t>(r.get(8));
           word = (dict.at(idx) & 0xFFFFFF00u) | lo;
@@ -190,6 +187,7 @@ Block CpackCompressor::decompress(const CompressedBlock& cb, size_t block_bytes)
     }
     out.set_word32(i, word);
   }
+  if (r.overrun()) throw std::invalid_argument("C-PACK: payload ends inside the block");
   return out;
 }
 

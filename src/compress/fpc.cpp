@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstring>
+#include <stdexcept>
 
 #include <vector>
 
@@ -163,6 +164,7 @@ Block FpcCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) c
         break;
     }
   }
+  if (r.overrun()) throw std::invalid_argument("FPC: payload ends inside the block");
   return out;
 }
 

@@ -271,12 +271,15 @@ Block HuffmanCompressor::decompress(const CompressedBlock& cb, size_t block_byte
   const size_t n_sym = block_bytes * 8 / kSymbolBits;
   for (size_t s = 0; s < n_sym; ++s) {
     const auto step = code_.decode(static_cast<uint16_t>(r.peek(16)));
-    assert(step.bits > 0 && "invalid codeword");
+    if (step.bits == 0) throw std::invalid_argument("Huffman: invalid codeword");
     r.skip(step.bits);
     uint16_t sym = step.symbol;
     if (step.is_escape) sym = static_cast<uint16_t>(r.get(kSymbolBits));
     out.set_symbol(s, sym);
   }
+  // peek()+skip() read zeros past the end without flagging it.
+  if (r.overrun() || r.position() > r.bit_size())
+    throw std::invalid_argument("Huffman: payload ends inside the block");
   return out;
 }
 

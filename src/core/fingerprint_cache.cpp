@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 #include <cstring>
 
 namespace slc {
@@ -128,20 +127,20 @@ FingerprintCache::Lookup FingerprintCache::lookup(uint64_t codec_key, uint64_t f
   MutexLock lk(sh.m);
   auto it = sh.index.find(key);
   if (it == sh.index.end()) {
-    sh.counters.record(/*probed=*/true, /*hit=*/false, false, false);
+    sh.counters.record({.probed = true});
     return Lookup::kMiss;
   }
   if (cfg_.verify_on_hit) {
     const std::vector<uint8_t>& stored = it->second->content;
     if (stored.size() != block.size() ||
         !std::equal(stored.begin(), stored.end(), block.begin())) {
-      sh.counters.record(/*probed=*/true, /*hit=*/false, false, /*collision=*/true);
+      sh.counters.record({.probed = true, .collision = true});
       return Lookup::kCollision;
     }
   }
   sh.lru.splice(sh.lru.begin(), sh.lru, it->second);
   out = it->second->decision;
-  sh.counters.record(/*probed=*/true, /*hit=*/true, false, false);
+  sh.counters.record({.probed = true, .hit = true});
   return Lookup::kHit;
 }
 
@@ -172,7 +171,7 @@ bool FingerprintCache::insert(uint64_t codec_key, uint64_t fp,
     sh.index.erase(sh.lru.back().key);
     sh.lru.pop_back();
     evicted = true;
-    sh.counters.record(/*probed=*/false, false, /*evicted=*/true, false);
+    sh.counters.record({.evicted = true});
   }
   return evicted;
 }
@@ -204,18 +203,6 @@ void FingerprintCache::clear() {
     sh.lru.clear();
     sh.index.clear();
   }
-}
-
-bool FingerprintCache::runtime_enabled() {
-  static const bool enabled = [] {
-    // Read once at startup under a static initializer, never written:
-    // getenv's thread-unsafety cannot bite. NOLINTNEXTLINE(concurrency-mt-unsafe)
-    const char* e = std::getenv("SLC_FINGERPRINT_CACHE");
-    if (e == nullptr || *e == '\0') return true;
-    return std::strcmp(e, "0") != 0 && std::strcmp(e, "off") != 0 &&
-           std::strcmp(e, "OFF") != 0;
-  }();
-  return enabled;
 }
 
 }  // namespace slc

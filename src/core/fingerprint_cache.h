@@ -87,11 +87,6 @@ class FingerprintCache {
   /// Drops every entry (counters keep their totals).
   void clear();
 
-  /// Process-wide force-disable knob, probed once: SLC_FINGERPRINT_CACHE=0
-  /// (or "off") makes every codec ignore its configured cache, so the
-  /// uncached oracle path can be exercised end-to-end without rebuilding.
-  static bool runtime_enabled();
-
  private:
   struct Key {
     uint64_t codec_key = 0;

@@ -4,26 +4,6 @@
 
 namespace slc {
 
-namespace {
-
-/// Copies the mode-decision bookkeeping into the policy result (everything
-/// except `decoded`, which depends on whether the block went lossy).
-void fill_result(BlockCodecResult& r, const SlcEncodeInfo& info,
-                 const SlcCodec::CacheOutcome& oc) {
-  r.bursts = info.bursts;
-  r.lossless_bits = info.lossless_bits;
-  r.final_bits = info.final_bits;
-  r.lossy = info.lossy;
-  r.stored_uncompressed = info.stored_uncompressed;
-  r.truncated_symbols = info.truncated_symbols;
-  r.cache_probed = oc.probed;
-  r.cache_hit = oc.hit;
-  r.cache_evicted = oc.evicted;
-  r.cache_collision = oc.collision;
-}
-
-}  // namespace
-
 SlcBlockCodec::SlcBlockCodec(std::shared_ptr<const E2mcCompressor> lossless, SlcConfig cfg)
     : lossless_(lossless),
       cfg_(cfg),
@@ -49,22 +29,19 @@ const SlcCodec& SlcBlockCodec::codec_for(bool safe_to_approx, size_t threshold_b
   return *slot;
 }
 
-void SlcBlockCodec::process_batch(std::span<const BlockView> blocks, bool safe_to_approx,
-                                  size_t threshold_bytes, BlockCodecResult* out) const {
+void SlcBlockCodec::process_batch(std::span<uint8_t> data, bool safe_to_approx,
+                                  size_t threshold_bytes, BlockAnalysis* out) const {
   const SlcCodec& codec = codec_for(safe_to_approx, threshold_bytes);
+  const std::vector<BlockView> views = to_views(data);
   SlcCodec::LengthScratch scratch;
-  std::vector<SlcCodec::Decision> decisions(blocks.size());
-  std::vector<SlcCodec::CacheOutcome> outcomes(blocks.size());
-  codec.decide_batch_cached(blocks, scratch, decisions.data(), outcomes.data());
-  for (size_t i = 0; i < blocks.size(); ++i) {
-    const SlcCodec::Decision& d = decisions[i];
-    BlockCodecResult& r = out[i];
-    r = BlockCodecResult{};
-    fill_result(r, d.info, outcomes[i]);
-    // Only lossy blocks mutate, and their decoded contents come straight
-    // from the decision (window re-fill) — no payload is built either way.
-    // Decisions are served from the fingerprint memo on repeat content.
-    r.decoded = codec.approx_decode(blocks[i], d);
+  std::vector<SlcCodec::Decision> decisions(views.size());
+  codec.decide_batch_cached(views, scratch, decisions.data());
+  // Only lossy blocks mutate, and their decoded contents come straight from
+  // the decision (window re-fill) — no payload is built either way.
+  // Decisions are served from the fingerprint memo on repeat content.
+  for (size_t i = 0; i < views.size(); ++i) {
+    out[i] = decisions[i].analysis;
+    codec.approximate(data.subspan(i * kBlockBytes, kBlockBytes), decisions[i]);
   }
 }
 

@@ -17,11 +17,11 @@ namespace slc {
 class SlcBlockCodec final : public BlockCodec {
  public:
   SlcBlockCodec(std::shared_ptr<const E2mcCompressor> lossless, SlcConfig cfg);
-  /// Batched commit kernel: one SlcCodec::decide_batch pass for the whole
-  /// span (staged E2MC length probe + per-block Fig. 4 decision), then
-  /// payload materialization only for the blocks decided lossy.
-  void process_batch(std::span<const BlockView> blocks, bool safe_to_approx,
-                     size_t threshold_bytes, BlockCodecResult* out) const override;
+  /// Batched commit kernel: one SlcCodec::decide_batch_cached pass for the
+  /// whole span (staged E2MC length probe + per-block Fig. 4 decision),
+  /// then an in-place window re-fill of only the blocks decided lossy.
+  void process_batch(std::span<uint8_t> data, bool safe_to_approx, size_t threshold_bytes,
+                     BlockAnalysis* out) const override;
   size_t mag_bytes() const override { return cfg_.mag_bytes; }
   std::string name() const override { return to_string(cfg_.variant); }
   const SlcConfig& config() const { return cfg_; }

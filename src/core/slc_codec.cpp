@@ -10,7 +10,9 @@
 
 #include "common/bitstream.h"
 #include "compress/batch_staging.h"
+#include "compress/codec_registry.h"
 #include "core/fingerprint_cache.h"
+#include "core/slc_block_codec.h"
 
 namespace slc {
 
@@ -53,11 +55,6 @@ SlcCodec::SlcCodec(std::shared_ptr<const E2mcCompressor> lossless, SlcConfig cfg
   key = mix_key(key, cfg_.threshold_bytes);
   key = mix_key(key, static_cast<uint64_t>(cfg_.variant));
   cache_key_ = key;
-}
-
-FingerprintCache* SlcCodec::active_cache() const {
-  if (cfg_.cache == nullptr || !FingerprintCache::runtime_enabled()) return nullptr;
-  return cfg_.cache.get();
 }
 
 size_t SlcCodec::header_bits(size_t block_bytes) const {
@@ -115,12 +112,12 @@ SlcCodec::Decision SlcCodec::decide(std::span<const uint16_t> lens,
   const size_t comp_bits = lossless_layout.total_bits;
 
   Decision d;
-  d.info.lossless_bits = comp_bits;
+  d.analysis.lossless_bits = comp_bits;
+  d.analysis.is_compressed = true;
 
   auto raw_decision = [&] {
-    d.info.stored_uncompressed = true;
-    d.info.final_bits = raw_bits;
-    d.info.bursts = max_bursts;
+    d.analysis.is_compressed = false;
+    d.analysis.bit_size = raw_bits;
     return d;
   };
 
@@ -134,7 +131,7 @@ SlcCodec::Decision SlcCodec::decide(std::span<const uint16_t> lens,
   // candidate: truncating to 96 B saves the fourth burst.
   const size_t budget_bits = std::max(comp_bits / mag_bits * mag_bits, mag_bits);
   const size_t extra_bits = comp_bits > budget_bits ? comp_bits - budget_bits : 0;
-  d.info.extra_bits = extra_bits;
+  d.extra_bits = extra_bits;
 
   if (extra_bits != 0 && extra_bits <= cfg_.threshold_bytes * 8) {
     // Lossy path: find the sub-block to truncate. The tree works on raw code
@@ -156,13 +153,12 @@ SlcCodec::Decision SlcCodec::decide(std::span<const uint16_t> lens,
       // larger sum or nullopt, so this loop terminates.
     }
     if (cand) {
-      d.info.lossy = true;
-      d.info.truncated_symbols = cand->count;
-      d.info.truncated_bits = cand->sum_bits;
-      d.info.final_bits = cut_bits;
-      // Usually the budget's burst count; one fewer when the selected window
-      // overshoots past another burst boundary.
-      d.info.bursts = bursts_for_bits(cut_bits, cfg_.mag_bytes, block_bytes);
+      // The cut size usually costs the budget's burst count; one fewer when
+      // the selected window overshoots past another burst boundary.
+      d.analysis.lossy = true;
+      d.analysis.truncated_symbols = cand->count;
+      d.analysis.bit_size = cut_bits;
+      d.truncated_bits = cand->sum_bits;
       d.skip_start = cand->start;
       d.skip_count = cand->count;
       return d;
@@ -177,15 +173,8 @@ SlcCodec::Decision SlcCodec::decide(std::span<const uint16_t> lens,
   if (bursts_for_bits(comp_bits, cfg_.mag_bytes, block_bytes) >= max_bursts) {
     return raw_decision();
   }
-  d.info.final_bits = comp_bits;
-  d.info.bursts = bursts_for_bits(comp_bits, cfg_.mag_bytes, block_bytes);
+  d.analysis.bit_size = comp_bits;
   return d;
-}
-
-SlcEncodeInfo SlcCodec::analyze(BlockView block) const {
-  SlcEncodeInfo out;
-  analyze_batch(std::span<const BlockView>(&block, 1), &out);
-  return out;
 }
 
 void SlcCodec::decide_batch(std::span<const BlockView> blocks, LengthScratch& scratch,
@@ -198,12 +187,11 @@ void SlcCodec::decide_batch(std::span<const BlockView> blocks, LengthScratch& sc
 }
 
 void SlcCodec::decide_batch_cached(std::span<const BlockView> blocks, LengthScratch& scratch,
-                                   Decision* out, CacheOutcome* oc) const {
+                                   Decision* out) const {
   const size_t n = blocks.size();
-  FingerprintCache* c = active_cache();
+  FingerprintCache* c = cfg_.cache.get();
   if (c == nullptr) {
     decide_batch(blocks, scratch, out);
-    for (size_t i = 0; i < n; ++i) oc[i] = CacheOutcome{};
     return;
   }
 
@@ -211,14 +199,15 @@ void SlcCodec::decide_batch_cached(std::span<const BlockView> blocks, LengthScra
   // duplicates then pays one probe for each distinct content even on a cold
   // cache. `first_miss` maps a missing fingerprint to the first block that
   // will compute it; later twins copy its decision after the batch probe.
+  // Outcomes are kept apart and stamped last, since twins copy whole
+  // decisions.
   std::vector<uint64_t> fps(n);
+  std::vector<CacheOutcome> oc(n, CacheOutcome{.probed = true});
   std::vector<size_t> miss;                       // indices that need the probe
   std::vector<std::pair<size_t, size_t>> twins;   // (dup index, representative)
   std::unordered_map<uint64_t, size_t> first_miss;
   miss.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    oc[i] = CacheOutcome{};
-    oc[i].probed = true;
     fps[i] = block_fingerprint(blocks[i].bytes());
     switch (c->lookup(cache_key_, fps[i], blocks[i].bytes(), out[i])) {
       case FingerprintCache::Lookup::kHit:
@@ -263,30 +252,19 @@ void SlcCodec::decide_batch_cached(std::span<const BlockView> blocks, LengthScra
     }
   }
   for (const auto& [i, rep] : twins) out[i] = out[rep];
+  for (size_t i = 0; i < n; ++i) out[i].analysis.cache = oc[i];
 }
 
-void SlcCodec::analyze_batch(std::span<const BlockView> blocks, SlcEncodeInfo* out) const {
-  std::vector<CacheOutcome> ocs(blocks.size());
-  analyze_batch(blocks, out, ocs.data());
-}
-
-void SlcCodec::analyze_batch(std::span<const BlockView> blocks, SlcEncodeInfo* out,
-                             CacheOutcome* oc) const {
+void SlcCodec::analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const {
   LengthScratch scratch;
   std::vector<Decision> decisions(blocks.size());
-  decide_batch_cached(blocks, scratch, decisions.data(), oc);
-  for (size_t i = 0; i < blocks.size(); ++i) out[i] = decisions[i].info;
+  decide_batch_cached(blocks, scratch, decisions.data());
+  for (size_t i = 0; i < blocks.size(); ++i) out[i] = decisions[i].analysis;
 }
 
-SlcCompressedBlock SlcCodec::compress(BlockView block) const {
-  SlcCompressedBlock out;
-  compress_batch(std::span<const BlockView>(&block, 1), &out);
-  return out;
-}
-
-void SlcCodec::compress_batch(std::span<const BlockView> blocks, SlcCompressedBlock* out) const {
+void SlcCodec::compress_batch(std::span<const BlockView> blocks, CompressedBlock* out) const {
   // Prefix-sum payload scatter over the batched Fig. 4 decision: decide_batch
-  // already yields every block's exact final size (final_bits is always a
+  // already yields every block's exact final size (bit_size is always a
   // whole number of bytes — the ways are byte-aligned and raw blocks are
   // byte-sized), so the payloads scatter into one arena at independent
   // offsets and no per-block writer or probe re-run is needed.
@@ -297,8 +275,8 @@ void SlcCodec::compress_batch(std::span<const BlockView> blocks, SlcCompressedBl
 
   std::vector<size_t> sizes(n), offsets(n);
   for (size_t b = 0; b < n; ++b) {
-    assert(ds[b].info.final_bits % 8 == 0);
-    sizes[b] = ds[b].info.final_bits / 8;
+    assert(ds[b].analysis.bit_size % 8 == 0);
+    sizes[b] = ds[b].analysis.bit_size / 8;
   }
   const size_t total = detail::exclusive_prefix_sum(sizes.data(), n, offsets.data());
   std::vector<uint8_t> arena(total);
@@ -306,19 +284,18 @@ void SlcCodec::compress_batch(std::span<const BlockView> blocks, SlcCompressedBl
   for (size_t b = 0; b < n; ++b) {
     const BlockView blk = blocks[b];
     const Decision& d = ds[b];
-    if (d.info.stored_uncompressed) {
+    if (!d.analysis.is_compressed) {
       std::memcpy(arena.data() + offsets[b], blk.bytes().data(), blk.size());
       continue;
     }
     SlcHeader hdr;
-    hdr.lossy = d.info.lossy;
+    hdr.lossy = d.analysis.lossy;
     hdr.start_symbol = static_cast<uint8_t>(d.skip_start);
-    hdr.approx_count = static_cast<uint8_t>(d.info.lossy ? d.skip_count : 0);
+    hdr.approx_count = static_cast<uint8_t>(d.analysis.lossy ? d.skip_count : 0);
     BitWriter w(arena.data() + offsets[b]);
     const size_t bits =
         encode_into(blk, hdr, scratch.block_lens(b), d.skip_start, d.skip_count, w);
-    assert(bits == d.info.final_bits);
-    assert(!d.info.lossy || bits <= d.info.bursts * cfg_.mag_bytes * 8);
+    assert(bits == d.analysis.bit_size);
     (void)bits;
     const size_t written = w.finish();
     assert(written == sizes[b]);
@@ -326,23 +303,21 @@ void SlcCodec::compress_batch(std::span<const BlockView> blocks, SlcCompressedBl
   }
 
   for (size_t b = 0; b < n; ++b) {
-    const Decision& d = ds[b];
-    SlcCompressedBlock cb;
-    cb.info = d.info;
-    cb.data.is_compressed = !d.info.stored_uncompressed;
-    cb.data.bit_size = d.info.final_bits;
+    CompressedBlock cb;
+    cb.is_compressed = ds[b].analysis.is_compressed;
+    cb.bit_size = ds[b].analysis.bit_size;
     const uint8_t* slice = arena.data() + offsets[b];
-    cb.data.payload.assign(slice, slice + sizes[b]);
+    cb.payload.assign(slice, slice + sizes[b]);
     out[b] = std::move(cb);
   }
 }
 
-Block SlcCodec::decompress(const SlcCompressedBlock& cb, size_t block_bytes) const {
-  if (!cb.data.is_compressed) return raw_block(cb.data.payload, block_bytes);
+Block SlcCodec::decompress(const CompressedBlock& cb, size_t block_bytes) const {
+  if (!cb.is_compressed) return raw_block(cb.payload, block_bytes);
   const unsigned num_ways = lossless_->config().num_ways;
   const size_t n_sym = block_bytes * 8 / kSymbolBits;
 
-  BitReader hdr_reader(cb.data.payload);
+  BitReader hdr_reader(cb.payload);
   const SlcHeader h = SlcHeader::read(hdr_reader, block_bytes, num_ways, n_sym);
   const size_t skip_start = h.lossy ? h.start_symbol : 0;
   const size_t skip_count = h.lossy ? h.approx_count : 0;
@@ -355,16 +330,21 @@ Block SlcCodec::decompress(const SlcCompressedBlock& cb, size_t block_bytes) con
   for (unsigned i = 1; i < num_ways; ++i) way_off[i] = h.way_offsets[i];
   // The window's symbols are not in the stream; fill_approximated() writes
   // them below.
-  lossless_->decode_ways(cb.data.payload, way_off, skip_start, skip_count, out);
+  lossless_->decode_ways(cb.payload, way_off, skip_start, skip_count, out);
 
-  if (h.lossy && skip_count > 0) fill_approximated(out, skip_start, skip_count);
+  if (h.lossy && skip_count > 0) fill_approximated(out.mutable_bytes(), skip_start, skip_count);
   return out;
 }
 
-void SlcCodec::fill_approximated(Block& out, size_t skip_start, size_t skip_count) const {
+void SlcCodec::fill_approximated(std::span<uint8_t> out, size_t skip_start,
+                                 size_t skip_count) const {
   const size_t n_sym = out.size() * 8 / kSymbolBits;
+  const auto set_symbol = [out](size_t s, uint16_t v) {
+    out[s * 2] = static_cast<uint8_t>(v & 0xff);
+    out[s * 2 + 1] = static_cast<uint8_t>(v >> 8);
+  };
   if (cfg_.variant == SlcVariant::kSimp) {
-    for (size_t s = skip_start; s < skip_start + skip_count; ++s) out.set_symbol(s, 0);
+    for (size_t s = skip_start; s < skip_start + skip_count; ++s) set_symbol(s, 0);
     return;
   }
   // Value-similarity prediction (Sec. III-E): the nearest non-truncated
@@ -392,15 +372,61 @@ void SlcCodec::fill_approximated(Block& out, size_t skip_start, size_t skip_coun
         }
       }
     }
-    if (idx < n_sym) fill[parity] = out.symbol(idx);
+    if (idx < n_sym) fill[parity] = BlockView(out).symbol(idx);
   }
-  for (size_t s = skip_start; s < skip_start + skip_count; ++s) out.set_symbol(s, fill[s % 2]);
+  for (size_t s = skip_start; s < skip_start + skip_count; ++s) set_symbol(s, fill[s % 2]);
 }
 
-Block SlcCodec::approx_decode(BlockView block, const Decision& d) const {
-  Block out(block.bytes());
-  if (d.info.lossy && d.skip_count > 0) fill_approximated(out, d.skip_start, d.skip_count);
-  return out;
+void SlcCodec::approximate(std::span<uint8_t> block, const Decision& d) const {
+  if (d.analysis.lossy && d.skip_count > 0) fill_approximated(block, d.skip_start, d.skip_count);
 }
+
+namespace {
+
+std::shared_ptr<const E2mcCompressor> lossless_from(const CodecOptions& opts) {
+  if (opts.trained_e2mc) return opts.trained_e2mc;
+  return E2mcCompressor::train(opts.training_data, opts.e2mc);
+}
+
+SlcConfig slc_config_from(const CodecOptions& opts, SlcVariant variant) {
+  SlcConfig cfg;
+  cfg.mag_bytes = opts.mag_bytes;
+  cfg.threshold_bytes = opts.threshold_bytes;
+  cfg.variant = variant;
+  cfg.cache = opts.fingerprint_cache;
+  return cfg;
+}
+
+CodecInfo tslc_info(SlcVariant variant, int order, std::string scheme, std::string paper) {
+  CodecInfo info;
+  info.name = to_string(variant);
+  info.scheme = std::move(scheme);
+  info.paper = std::move(paper);
+  info.order = order;
+  info.lossy = true;
+  info.needs_training = true;
+  info.compress_latency = SlcCodec::kCompressLatency;
+  info.decompress_latency = SlcCodec::kDecompressLatency;
+  info.make = [variant](const CodecOptions& opts) -> std::shared_ptr<const Compressor> {
+    return std::make_shared<SlcCodec>(lossless_from(opts), slc_config_from(opts, variant));
+  };
+  info.make_block_codec =
+      [variant](const CodecOptions& opts) -> std::shared_ptr<const BlockCodec> {
+    return std::make_shared<SlcBlockCodec>(lossless_from(opts), slc_config_from(opts, variant));
+  };
+  return info;
+}
+
+const CodecRegistrar tslc_simp_registrar(
+    tslc_info(SlcVariant::kSimp, 5, "SLC over E2MC, truncated symbols decode to zero",
+              "paper Sec. III / Sec. V (TSLC-SIMP)"));
+const CodecRegistrar tslc_pred_registrar(
+    tslc_info(SlcVariant::kPred, 6, "SLC over E2MC, value-similarity prediction",
+              "paper Sec. III-E / Sec. V (TSLC-PRED)"));
+const CodecRegistrar tslc_opt_registrar(
+    tslc_info(SlcVariant::kOpt, 7, "SLC over E2MC, prediction + extra tree nodes",
+              "paper Sec. III-F / Sec. V (TSLC-OPT)"));
+
+}  // namespace
 
 }  // namespace slc

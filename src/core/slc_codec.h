@@ -37,57 +37,58 @@ struct SlcConfig {
   SlcVariant variant = SlcVariant::kOpt;
   /// Optional content-addressed memo for the Fig. 4 decision
   /// (core/fingerprint_cache.h). Null (the default) keeps every path
-  /// uncached; when set, analyze()/analyze_batch() and the cached decide
-  /// entry points serve repeat blocks without the E2MC length probe. The
+  /// uncached; when set, analyze_batch() and decide_batch_cached() serve
+  /// repeat blocks without the E2MC length probe. The
   /// codec derives its cache key from (E2MC model id, MAG, threshold,
   /// variant), so one cache may safely back any number of codecs — entries
   /// never cross a configuration or a trained model.
   std::shared_ptr<FingerprintCache> cache{};
 };
 
-/// Outcome bookkeeping for one block (drives both timing and error studies).
-struct SlcEncodeInfo {
-  bool lossy = false;
-  bool stored_uncompressed = false;
-  size_t lossless_bits = 0;   ///< E2MC+SLC-header size before any truncation
-  size_t final_bits = 0;      ///< size actually stored
-  size_t bursts = 0;          ///< MAG bursts fetched for this block
-  size_t truncated_symbols = 0;
-  size_t truncated_bits = 0;  ///< code bits removed (>= extra bits when lossy)
-  size_t extra_bits = 0;      ///< overshoot above the bit budget
-};
-
-struct SlcCompressedBlock {
-  CompressedBlock data;
-  SlcEncodeInfo info;
-};
-
-class SlcCodec {
+/// The SLC codec, behind the uniform Compressor interface: the CodecRegistry
+/// builds TSLC-* under this type, and the CodecEngine, the CodecServer and
+/// every scheme-sweeping bench drive it like the lossless schemes. The
+/// payload is self-describing (the Fig. 6 header carries mode/ss/len), so
+/// decompress() needs nothing beyond the CompressedBlock. The variants are
+/// lossy: decompress(compress(b)) may differ from b for blocks the Fig. 4
+/// decision truncates (BlockAnalysis::lossy/truncated_symbols say which).
+class SlcCodec : public Compressor {
  public:
   SlcCodec(std::shared_ptr<const E2mcCompressor> lossless, SlcConfig cfg);
 
-  /// Compresses one block per the Fig. 4 decision flow: compress_batch()
-  /// on a batch of one.
-  SlcCompressedBlock compress(BlockView block) const;
+  std::string name() const override { return to_string(cfg_.variant); }
 
+  /// Decompresses (exact for lossless blocks; approximated symbols filled
+  /// per the configured variant for lossy blocks).
+  Block decompress(const CompressedBlock& cb, size_t block_bytes) const override;
+
+  using Compressor::analyze_batch;
+  using Compressor::compress_batch;
   /// Size-only: the full Fig. 4 decision (budget, threshold, tree selection)
-  /// without building the bit stream — analyze_batch() on a batch of one.
-  /// Exactly the sizes/bursts compress() would report. Served from the
-  /// fingerprint memo when cfg.cache is set (see below).
-  SlcEncodeInfo analyze(BlockView block) const;
+  /// without building the bit stream. Exactly the sizes compress_batch()
+  /// reports. Served from the fingerprint memo when cfg.cache is set.
+  void analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const override;
+  /// One decide_batch() probe for the whole span, then payload emission
+  /// through the prefix-sum scatter (each block's exact final size is known
+  /// from its Decision, so every payload is written at an independent
+  /// offset of one reused arena). out[i] does not depend on how the span is
+  /// split.
+  void compress_batch(std::span<const BlockView> blocks, CompressedBlock* out) const override;
 
   // --- batched mode decision -------------------------------------------------
-  // The decision layer's batch kernel, feeding BlockCodec::process_batch and
-  // SlcCompressor::analyze_batch: one staged E2MC length probe for the whole
-  // span, then the Fig. 4 decide() pass per block over the staged lengths.
-  // Results are the same for any split of the span; all scratch lives in the
-  // caller's frame, so concurrent engine shards need no locks.
+  // The decision layer's batch kernel, feeding SlcBlockCodec::process_batch
+  // and the Compressor kernels above: one staged E2MC length probe for the
+  // whole span, then the Fig. 4 decide() pass per block over the staged
+  // lengths. Results are the same for any split of the span; all scratch
+  // lives in the caller's frame, so concurrent engine shards need no locks.
 
-  /// Outcome of the Fig. 4 mode decision for one block: the bookkeeping plus
-  /// the selected truncation window (meaningful only when info.lossy).
+  /// Outcome of the Fig. 4 mode decision for one block: the block's outcome
+  /// record plus the SLC-only quantities behind it.
   struct Decision {
-    SlcEncodeInfo info;
-    size_t skip_start = 0;
+    BlockAnalysis analysis;
+    size_t extra_bits = 0;      ///< overshoot above the bit budget
+    size_t truncated_bits = 0;  ///< code bits removed (>= extra_bits when lossy)
+    size_t skip_start = 0;      ///< truncated window (meaningful only when lossy)
     size_t skip_count = 0;
   };
 
@@ -103,46 +104,27 @@ class SlcCodec {
     }
   };
 
-  /// Batched decision: fills out[0..blocks.size()) with exactly the Decision
-  /// compress()/analyze() derive per block, probing code lengths once for
-  /// the whole span into `scratch`. Never consults the fingerprint memo —
-  /// the staged lengths it produces feed compress_batch(), which a cache hit
-  /// (decision only, no lens) cannot serve.
+  /// Batched decision: fills out[0..blocks.size()) with each block's
+  /// Decision, probing code lengths once for the whole span into `scratch`.
+  /// Never consults the fingerprint memo — the staged lengths it produces
+  /// feed compress_batch(), which a cache hit (decision only, no lens)
+  /// cannot serve.
   void decide_batch(std::span<const BlockView> blocks, LengthScratch& scratch,
                     Decision* out) const;
 
-  /// Batched analyze(): out[i] == analyze(blocks[i]).
-  void analyze_batch(std::span<const BlockView> blocks, SlcEncodeInfo* out) const;
-
-  // --- fingerprint-memoized decision ----------------------------------------
-  // When cfg.cache is set (and SLC_FINGERPRINT_CACHE is not force-disabling
-  // it), the entry points below first consult the content-addressed memo:
-  // a hit returns the stored Decision — exactly what the miss path computes
-  // for that content — and skips the E2MC length probe entirely; a miss
-  // computes the decision through the regular path and inserts it. Without a
-  // cache they are the plain decide()/decide_batch() paths. The outcome
-  // flags feed CacheCounters only and are the single thing that is NOT
-  // thread-count invariant about a cached run.
-
-  /// Per-block cache bookkeeping for one decision.
-  struct CacheOutcome {
-    bool probed = false;     ///< a configured, enabled cache was consulted
-    bool hit = false;        ///< decision served from the memo
-    bool evicted = false;    ///< the insert displaced an LRU entry
-    bool collision = false;  ///< verify-on-hit content mismatch (fp collision)
-  };
-
-  /// Batched memoized decision: hits and in-batch duplicates skip the probe;
-  /// the remaining distinct misses run through one decide_batch() over
-  /// `scratch`. out[i] is identical to decide_batch()'s out[i] for every
-  /// block (modulo undetected 64-bit fingerprint collisions, which
-  /// verify-on-hit eliminates); oc[i] carries block i's cache outcome.
+  /// Memoized decide_batch(). When cfg.cache is set it first consults the
+  /// content-addressed memo: a hit returns the stored Decision — exactly
+  /// what the miss path computes for that content — without the E2MC
+  /// length probe, and so does an in-batch duplicate; the remaining
+  /// distinct misses run through one decide_batch() over `scratch` and are
+  /// inserted. out[i] is identical to decide_batch()'s
+  /// out[i] for every block (modulo undetected 64-bit fingerprint
+  /// collisions, which verify-on-hit eliminates) except for
+  /// out[i].analysis.cache, block i's memo outcome — the single thing that
+  /// is NOT thread-count invariant about a cached run. Without a cache this
+  /// is decide_batch().
   void decide_batch_cached(std::span<const BlockView> blocks, LengthScratch& scratch,
-                           Decision* out, CacheOutcome* oc) const;
-
-  /// analyze_batch() with the per-block cache outcome surfaced.
-  void analyze_batch(std::span<const BlockView> blocks, SlcEncodeInfo* out,
-                     CacheOutcome* oc) const;
+                           Decision* out) const;
 
   /// The (model, MAG, threshold, variant) key this codec's entries live
   /// under; distinct for every distinct decision function.
@@ -150,31 +132,16 @@ class SlcCodec {
   /// The configured memo (null when uncached).
   const std::shared_ptr<FingerprintCache>& cache() const { return cfg_.cache; }
 
-  /// Batched compress(): one decide_batch() probe for the whole span, then
-  /// payload emission through the prefix-sum scatter (each block's exact
-  /// final size is known from its Decision, so every payload is written at
-  /// an independent offset of one reused arena). out[i] does not depend on
-  /// how the span is split.
-  void compress_batch(std::span<const BlockView> blocks, SlcCompressedBlock* out) const;
-
-  /// The block as reads will observe it after a store+load round trip of
-  /// decision `d`, without materializing the payload: every non-truncated
-  /// symbol round-trips exactly through the entropy code, so the result is
-  /// the original block with the selected window re-filled per the variant
-  /// (zeros for TSLC-SIMP, parity-matched prediction otherwise — the same
-  /// fill routine decompress() runs). Byte-identical to decompressing the
-  /// payload compress() emits for decision `d`; the batched commit path's
-  /// way to mutate lossy blocks at decision cost.
-  Block approx_decode(BlockView block, const Decision& d) const;
-
-  /// Decompresses (exact for lossless blocks; approximated symbols filled
-  /// per the configured variant for lossy blocks).
-  Block decompress(const SlcCompressedBlock& cb, size_t block_bytes = kBlockBytes) const;
-
-  /// Convenience: compress + decompress. For lossless blocks this is the
-  /// identity; for lossy blocks it returns the approximated block the GPU
-  /// would observe.
-  Block roundtrip(BlockView block) const { return decompress(compress(block), block.size()); }
+  /// Overwrites `block` (the bytes decision `d` was taken on) with what
+  /// reads will observe after a store+load round trip, without
+  /// materializing the payload: every non-truncated symbol round-trips
+  /// exactly through the entropy code, so only the selected window is
+  /// re-filled per the variant (zeros for TSLC-SIMP, parity-matched
+  /// prediction otherwise — the same fill routine decompress() runs). A
+  /// no-op unless d.analysis.lossy. Byte-identical to decompressing the
+  /// payload compress_batch() emits for `d`; the commit path's way to
+  /// mutate lossy blocks at decision cost.
+  void approximate(std::span<uint8_t> block, const Decision& d) const;
 
   const SlcConfig& config() const { return cfg_; }
   const E2mcCompressor& lossless() const { return *lossless_; }
@@ -196,19 +163,15 @@ class SlcCodec {
   TreeSlcSelector selector_;
   uint64_t cache_key_ = 0;
 
-  /// The memo the cached entry points consult: cfg_.cache unless the
-  /// SLC_FINGERPRINT_CACHE env knob force-disables caching process-wide.
-  FingerprintCache* active_cache() const;
-
-  /// The Fig. 4 mode decision, shared by compress()/analyze()/decide_batch().
+  /// The Fig. 4 mode decision for one block's staged code lengths.
   Decision decide(std::span<const uint16_t> lens, size_t block_bytes) const;
 
   /// Re-fills the truncated window of `out` per the configured variant. All
   /// symbols outside [skip_start, skip_start + skip_count) must already hold
   /// their exact values — the one fill routine decompress() and
-  /// approx_decode() share, so the payload and payload-free decodes cannot
+  /// approximate() share, so the payload and payload-free decodes cannot
   /// drift apart.
-  void fill_approximated(Block& out, size_t skip_start, size_t skip_count) const;
+  void fill_approximated(std::span<uint8_t> out, size_t skip_start, size_t skip_count) const;
 
   /// Emits the block with symbols [skip_start, skip_start+skip_count)
   /// removed into `w` (which must be empty); returns the total bits written.

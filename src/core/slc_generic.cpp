@@ -51,8 +51,8 @@ std::optional<SlcFpcCodec::Selection> SlcFpcCodec::select(std::span<const uint16
   return Selection{cand->start, cand->count};
 }
 
-GenericSlcInfo SlcFpcCodec::analyze(BlockView block) const {
-  GenericSlcInfo info;
+BlockAnalysis SlcFpcCodec::analyze(BlockView block) const {
+  BlockAnalysis info;
   const size_t raw_bits = block.size() * 8;
   const size_t mag_bits = cfg_.mag_bytes * 8;
   const size_t max_bursts = block.size() / cfg_.mag_bytes;
@@ -62,34 +62,25 @@ GenericSlcInfo SlcFpcCodec::analyze(BlockView block) const {
       kGenericHeaderBits +
       static_cast<size_t>(std::accumulate(costs.begin(), costs.end(), size_t{0}));
   info.lossless_bits = comp_bits;
+  info.bit_size = raw_bits;  // stored uncompressed unless a branch below compresses
 
-  if (comp_bits >= raw_bits) {
-    info.stored_uncompressed = true;
-    info.final_bits = raw_bits;
-    info.bursts = max_bursts;
-    return info;
-  }
+  if (comp_bits >= raw_bits) return info;
   const size_t budget = std::max(comp_bits / mag_bits * mag_bits, mag_bits);
   const size_t extra = comp_bits > budget ? comp_bits - budget : 0;
   if (extra != 0 && extra <= cfg_.threshold_bytes * 8) {
     if (const auto sel = select(costs, comp_bits, budget)) {
       size_t removed = 0;
       for (size_t w = sel->start; w < sel->start + sel->count; ++w) removed += costs[w];
+      info.is_compressed = true;
       info.lossy = true;
-      info.truncated_words = sel->count;
-      info.final_bits = comp_bits - removed;
-      info.bursts = bursts_for_bits(info.final_bits, cfg_.mag_bytes, block.size());
+      info.truncated_symbols = sel->count;
+      info.bit_size = comp_bits - removed;
       return info;
     }
   }
-  if (bursts_for_bits(comp_bits, cfg_.mag_bytes, block.size()) >= max_bursts) {
-    info.stored_uncompressed = true;
-    info.final_bits = raw_bits;
-    info.bursts = max_bursts;
-    return info;
-  }
-  info.final_bits = comp_bits;
-  info.bursts = bursts_for_bits(comp_bits, cfg_.mag_bytes, block.size());
+  if (bursts_for_bits(comp_bits, cfg_.mag_bytes, block.size()) >= max_bursts) return info;
+  info.is_compressed = true;
+  info.bit_size = comp_bits;
   return info;
 }
 

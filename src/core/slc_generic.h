@@ -30,15 +30,6 @@ struct GenericSlcConfig {
   bool predict = true;  ///< false = zero-fill (SIMP-style)
 };
 
-struct GenericSlcInfo {
-  bool lossy = false;
-  bool stored_uncompressed = false;
-  size_t lossless_bits = 0;
-  size_t final_bits = 0;
-  size_t bursts = 0;
-  size_t truncated_words = 0;
-};
-
 /// SLC layered over FPC. Compress returns the block the GPU observes after
 /// a store+load round trip plus the size bookkeeping (the bit-exact payload
 /// of the lossless substrate is exercised by the FPC unit tests; this codec
@@ -47,8 +38,9 @@ class SlcFpcCodec {
  public:
   explicit SlcFpcCodec(GenericSlcConfig cfg = {});
 
-  /// Analyzes one block: mode decision + truncation selection.
-  GenericSlcInfo analyze(BlockView block) const;
+  /// Analyzes one block: mode decision + truncation selection. The
+  /// approximated "symbols" are whole words (truncated_symbols counts words).
+  BlockAnalysis analyze(BlockView block) const;
 
   /// Functional round trip: returns the block as later reads observe it
   /// (identity unless the lossy mode fires).

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "core/fingerprint_cache.h"
-
 namespace slc {
 namespace detail {
 
@@ -125,17 +123,6 @@ std::shared_ptr<CodecEngine> CodecEngine::shared_default() {
   return engine;
 }
 
-std::shared_ptr<FingerprintCache> CodecEngine::fingerprint_cache() {
-  MutexLock lk(cache_mutex_);
-  if (!fingerprint_cache_) fingerprint_cache_ = std::make_shared<FingerprintCache>();
-  return fingerprint_cache_;
-}
-
-void CodecEngine::set_fingerprint_cache(std::shared_ptr<FingerprintCache> cache) {
-  MutexLock lk(cache_mutex_);
-  fingerprint_cache_ = std::move(cache);
-}
-
 std::shared_ptr<detail::EngineJob> CodecEngine::enqueue(
     size_t count, std::function<void(size_t, size_t, unsigned)> body, int priority,
     std::chrono::steady_clock::time_point deadline) {
@@ -222,14 +209,12 @@ CodecFuture<CodecEngine::StreamAnalysis> CodecEngine::submit_analyze(const Compr
   // folds its shards into its own partial, merged in worker order on wait().
   struct Ctx {
     StreamAnalysis out;
-    std::vector<StreamAnalysis> per_worker;
+    std::vector<CommitStats> per_worker;
   };
   auto ctx = std::make_shared<Ctx>();
   ctx->out.blocks.resize(blocks.size());
-  ctx->out.ratios = RatioAccumulator(mag_bytes);
-  StreamAnalysis seed;
-  seed.ratios = RatioAccumulator(mag_bytes);
-  ctx->per_worker.assign(num_threads(), seed);
+  ctx->out.mag_bytes = mag_bytes;
+  ctx->per_worker.resize(num_threads());
 
   return submit<StreamAnalysis>(
       blocks.size(),
@@ -238,11 +223,12 @@ CodecFuture<CodecEngine::StreamAnalysis> CodecEngine::submit_analyze(const Compr
         // straight into the index-aligned result slots.
         comp.analyze_batch(to_views(blocks.subspan(begin, end - begin)),
                            ctx->out.blocks.data() + begin);
-        StreamAnalysis& ws = ctx->per_worker[worker];
-        for (size_t i = begin; i < end; ++i) ws.add(ctx->out.blocks[i], blocks[i].size() * 8);
+        CommitStats& ws = ctx->per_worker[worker];
+        for (size_t i = begin; i < end; ++i)
+          ws.add(ctx->out.blocks[i], blocks[i].size(), ctx->out.mag_bytes);
       },
       [ctx]() {
-        for (const StreamAnalysis& ws : ctx->per_worker) ctx->out.merge(ws);
+        for (const CommitStats& ws : ctx->per_worker) ctx->out.totals.merge(ws);
         return std::move(ctx->out);
       },
       priority);

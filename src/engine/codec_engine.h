@@ -49,7 +49,6 @@
 namespace slc {
 
 class CodecEngine;
-class FingerprintCache;
 
 namespace detail {
 
@@ -194,23 +193,6 @@ class CodecEngine {
   /// do not each spin up a pool. ApproxMemory uses this unless given one.
   static std::shared_ptr<CodecEngine> shared_default();
 
-  // --- per-engine fingerprint memo -----------------------------------------
-  // One shared decision memo for everything this engine serves: codecs built
-  // with `options.fingerprint_cache = engine->fingerprint_cache()` dedup
-  // repeat blocks across jobs, streams and commits that route through the
-  // same pool. The cache is sharded (per-shard mutexes), so concurrent
-  // workers only contend on same-shard blocks; entries are keyed on the
-  // deciding codec's identity, so codecs never see each other's decisions.
-
-  /// The engine-owned cache, built on first use (default FingerprintCache
-  /// config). Thread-safe; stable for the engine's lifetime once created.
-  std::shared_ptr<FingerprintCache> fingerprint_cache();
-
-  /// Replaces the engine-owned cache (e.g. to set capacity or verify-on-hit
-  /// before any stream opens). Later fingerprint_cache() calls return
-  /// `cache`; codecs already holding the old pointer keep it.
-  void set_fingerprint_cache(std::shared_ptr<FingerprintCache> cache);
-
   // --- asynchronous submission ---------------------------------------------
   // Any thread may call submit*(); jobs from concurrent callers interleave
   // on the queue without affecting each other's results. Job bodies must not
@@ -232,33 +214,16 @@ class CodecEngine {
                         std::function<T()> finalize = {}, int priority = 0,
                         std::chrono::steady_clock::time_point deadline = kNoDeadline);
 
-  /// Size-only sweep of a block stream: per-block analyses plus the merged
-  /// raw/effective ratio bookkeeping at `mag_bytes`.
+  /// Size-only sweep of a block stream: per-block analyses plus their fold
+  /// (CommitStats::add at `mag_bytes`), from which the raw/effective ratios
+  /// follow.
   struct StreamAnalysis {
     std::vector<BlockAnalysis> blocks;  ///< index-aligned with the input
-    RatioAccumulator ratios;
-    uint64_t lossy_blocks = 0;
-    uint64_t truncated_symbols = 0;
-    /// Fingerprint-memo outcomes folded over the stream (all zero for
-    /// uncached codecs). NOT thread-count invariant — see CacheCounters.
-    CacheCounters cache;
+    CommitStats totals;
+    size_t mag_bytes = kDefaultMagBytes;
 
-    /// Folds one block's analysis into the aggregates (`blocks` untouched);
-    /// `original_bits` is the block's uncompressed size.
-    void add(const BlockAnalysis& a, size_t original_bits) {
-      ratios.add(original_bits, a.bit_size);
-      lossy_blocks += a.lossy ? 1 : 0;
-      truncated_symbols += a.truncated_symbols;
-      cache.record(a.cache_probed, a.cache_hit, a.cache_evicted, a.cache_collision);
-    }
-    /// Folds another partial's aggregates in (`blocks` untouched). Integer
-    /// counters only, so merge order never changes the result.
-    void merge(const StreamAnalysis& o) {
-      ratios.merge(o.ratios);
-      lossy_blocks += o.lossy_blocks;
-      truncated_symbols += o.truncated_symbols;
-      cache.merge(o.cache);
-    }
+    double raw_ratio() const { return totals.raw_ratio(); }
+    double effective_ratio() const { return totals.effective_ratio(mag_bytes); }
   };
 
   /// Async size-only sweep. `comp` and the storage behind `blocks` must stay
@@ -281,9 +246,6 @@ class CodecEngine {
 
   unsigned n_threads_ = 1;           // fixed at construction
   std::vector<std::thread> workers_;  // touched only by the ctor + first shutdown()
-
-  mutable Mutex cache_mutex_;  // guards lazy fingerprint_cache_ creation; leaf lock
-  std::shared_ptr<FingerprintCache> fingerprint_cache_ SLC_GUARDED_BY(cache_mutex_);
 
   /// Guards the queue, the stop/shutdown flags and — by convention the
   /// analysis cannot spell — every queued job's shard cursor (EngineJob::

@@ -54,7 +54,7 @@ struct CodecServer::Batch {
   std::shared_ptr<const Compressor> codec;
   size_t mag_bytes = kDefaultMagBytes;
   std::vector<Block> blocks;
-  std::vector<BlockAnalysis> analyses;      ///< kAnalyze / kDecide
+  std::vector<BlockAnalysis> analyses;      ///< kAnalyze
   std::vector<CompressedBlock> payloads;    ///< kCompress
   std::vector<std::shared_ptr<detail::ServerRequest>> requests;
   std::atomic<size_t> done{0};
@@ -169,7 +169,7 @@ ServerTicket CodecServer::submit(StreamId s, const Request& r) {
                                 .count());
     MutexLock rlk(req->m);
     req->resp.tag = req->tag;
-    req->resp.analysis.ratios = RatioAccumulator(st.cfg.options.mag_bytes);
+    req->resp.analysis.mag_bytes = st.cfg.options.mag_bytes;
     req->done = true;
     return ServerTicket(this, s, std::move(req));
   }
@@ -186,7 +186,7 @@ ServerTicket CodecServer::submit(StreamId s, const Request& r) {
       MutexLock rlk(req->m);
       req->resp.status = ResponseStatus::kRejected;
       req->resp.tag = req->tag;
-      req->resp.analysis.ratios = RatioAccumulator(st.cfg.options.mag_bytes);
+      req->resp.analysis.mag_bytes = st.cfg.options.mag_bytes;
       req->done = true;
       return ServerTicket(this, s, std::move(req));
     }
@@ -370,7 +370,7 @@ void CodecServer::fail_batch_locked(const std::shared_ptr<Batch>& batch,
       req->resp.tag = req->tag;
       req->resp.deadline_missed = missed;
       req->resp.error = err;
-      req->resp.analysis.ratios = RatioAccumulator(batch->mag_bytes);
+      req->resp.analysis.mag_bytes = batch->mag_bytes;
       req->done = true;
     }
     req->cv.notify_all();
@@ -416,35 +416,40 @@ void CodecServer::complete_batch(const std::shared_ptr<Batch>& batch) {
 
   // Scatter per-request responses sequentially — same bytes no matter which
   // worker runs this hook. Delivery (request mutex + cv) happens after the
-  // response is fully built.
+  // response is fully built. Each block is folded once, into its request's
+  // totals; the stream's counters merge those.
+  CommitStats batch_totals;
   for (const auto& req : batch->requests) {
     Response resp;
     resp.tag = req->tag;
     resp.deadline_missed = req->deadline.count() > 0 && now - req->submitted > req->deadline;
-    resp.analysis.ratios = RatioAccumulator(batch->mag_bytes);
+    resp.analysis.mag_bytes = batch->mag_bytes;
     if (batch_error) {
       resp.status = ResponseStatus::kError;
       resp.error = batch_error;
-    } else if (batch->kind == RequestKind::kCompress) {
-      resp.payloads.assign(
-          std::make_move_iterator(batch->payloads.begin() + static_cast<ptrdiff_t>(req->offset)),
-          std::make_move_iterator(batch->payloads.begin() +
-                                  static_cast<ptrdiff_t>(req->offset + req->n_blocks)));
-      for (size_t j = 0; j < resp.payloads.size(); ++j) {
-        resp.analysis.ratios.add(batch->blocks[req->offset + j].size() * 8,
-                                 resp.payloads[j].bit_size);
-      }
     } else {
-      for (size_t j = 0; j < req->n_blocks; ++j) {
-        resp.analysis.add(batch->analyses[req->offset + j],
-                          batch->blocks[req->offset + j].size() * 8);
+      const auto first = static_cast<ptrdiff_t>(req->offset);
+      const auto last = static_cast<ptrdiff_t>(req->offset + req->n_blocks);
+      if (batch->kind == RequestKind::kCompress) {
+        // Payload batches fold size-only outcomes: the decision bookkeeping
+        // (lossy/truncated/lossless/cache) is an analyze-path concept the
+        // compress kernels do not report.
+        resp.payloads.assign(std::make_move_iterator(batch->payloads.begin() + first),
+                             std::make_move_iterator(batch->payloads.begin() + last));
+        for (size_t j = 0; j < req->n_blocks; ++j) {
+          const CompressedBlock& p = resp.payloads[j];
+          resp.analysis.totals.add({.bit_size = p.bit_size, .is_compressed = p.is_compressed},
+                                   batch->blocks[req->offset + j].size(), batch->mag_bytes);
+        }
+      } else {
+        resp.analysis.blocks.assign(batch->analyses.begin() + first,
+                                    batch->analyses.begin() + last);
+        for (size_t j = 0; j < req->n_blocks; ++j) {
+          resp.analysis.totals.add(resp.analysis.blocks[j], batch->blocks[req->offset + j].size(),
+                                   batch->mag_bytes);
+        }
       }
-      if (batch->kind == RequestKind::kAnalyze) {
-        // kDecide keeps the per-block vector empty — aggregates only.
-        resp.analysis.blocks.assign(
-            batch->analyses.begin() + static_cast<ptrdiff_t>(req->offset),
-            batch->analyses.begin() + static_cast<ptrdiff_t>(req->offset + req->n_blocks));
-      }
+      batch_totals.merge(resp.analysis.totals);
     }
     MutexLock rlk(req->m);
     req->resp = std::move(resp);
@@ -462,36 +467,7 @@ void CodecServer::complete_batch(const std::shared_ptr<Batch>& batch) {
       }
       st.stats.latency.record(std::chrono::duration<double>(now - req->submitted).count());
     }
-    if (!batch_error) {
-      CommitStats& cs = st.stats.commit;
-      if (batch->kind == RequestKind::kCompress) {
-        // Payload batches fold the size/burst counters only; the decision
-        // bookkeeping (lossy/truncated/lossless/cache) is an analyze-path
-        // concept the compress kernels do not report. bit_size/is_compressed
-        // are scalar fields, untouched by the payload moves above.
-        for (size_t i = 0; i < batch->payloads.size(); ++i) {
-          const CompressedBlock& p = batch->payloads[i];
-          cs.blocks += 1;
-          cs.uncompressed_blocks += p.is_compressed ? 0 : 1;
-          cs.bursts += bursts_for_bits(p.bit_size, batch->mag_bytes, batch->blocks[i].size());
-          cs.original_bits += batch->blocks[i].size() * 8;
-          cs.final_bits += p.bit_size;
-        }
-      } else {
-        for (size_t i = 0; i < batch->analyses.size(); ++i) {
-          const BlockAnalysis& a = batch->analyses[i];
-          cs.blocks += 1;
-          cs.lossy_blocks += a.lossy ? 1 : 0;
-          cs.uncompressed_blocks += a.is_compressed ? 0 : 1;
-          cs.bursts += bursts_for_bits(a.bit_size, batch->mag_bytes, batch->blocks[i].size());
-          cs.truncated_symbols += a.truncated_symbols;
-          cs.original_bits += batch->blocks[i].size() * 8;
-          cs.lossless_bits += a.lossless_bits;
-          cs.final_bits += a.bit_size;
-          cs.cache.record(a.cache_probed, a.cache_hit, a.cache_evicted, a.cache_collision);
-        }
-      }
-    }
+    st.stats.commit.merge(batch_totals);
     inflight_blocks_ -= batch->blocks.size();
     inflight_batches_ -= 1;
     // Notify while still holding the lock: a woken drain() can only pass its

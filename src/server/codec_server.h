@@ -9,8 +9,8 @@
 //   * coalesces small requests into engine-sized batches (one engine job per
 //     batch, `Config::batch_blocks` blocks), so a thousand 1 KB requests do
 //     not pay a thousand queue round-trips;
-//   * serves three request kinds through one contract (Request/Response):
-//     size-only analysis, decision aggregates, and full compressed payloads
+//   * serves two request kinds through one contract (Request/Response):
+//     size-only analysis and full compressed payloads
 //     (the codec's batched compress kernels, per-request payload scatter);
 //   * flushes partial batches on a timer: a request is dispatched no later
 //     than its deadline budget (or `Config::max_coalesce_delay` without
@@ -61,7 +61,6 @@
 #include "common/thread_safety.h"
 #include "compress/codec_registry.h"
 #include "engine/codec_engine.h"
-#include "workloads/approx_memory.h"
 
 namespace slc {
 
@@ -76,9 +75,7 @@ enum class StreamPriority {
 
 /// What a Request asks the stream's codec to produce.
 enum class RequestKind : uint8_t {
-  kAnalyze,   ///< per-block BlockAnalysis + merged ratios (size-only sweep)
-  kDecide,    ///< aggregate decision counters only (no per-block vector) —
-              ///< same computation as kAnalyze, cheapest response
+  kAnalyze,   ///< per-block BlockAnalysis + their totals (size-only sweep)
   kCompress,  ///< full compressed payloads, byte-identical to the direct
               ///< codec path (Compressor::compress_batch)
 };
@@ -94,10 +91,10 @@ enum class AdmissionPolicy : uint8_t {
 /// stream's error budget for lossy codecs; `options.training_data` is only
 /// read while open_stream() constructs the codec. `options.fingerprint_cache`
 /// attaches a decision memo (lossy TSLC-* streams only — the lossless
-/// schemes have no decision to memoize and ignore it): pass
-/// `engine().fingerprint_cache()` to dedup across every stream of the
-/// engine, or a stream's own FingerprintCache (optionally verify-on-hit) to
-/// isolate it from other tenants.
+/// schemes have no decision to memoize and ignore it): pass one
+/// `std::make_shared<FingerprintCache>()` to several streams to dedup across
+/// them, or give a stream its own (optionally verify-on-hit) to isolate it
+/// from other tenants.
 struct StreamConfig {
   std::string name;
   std::string codec = "E2MC";  ///< CodecRegistry name
@@ -136,12 +133,11 @@ enum class ResponseStatus : uint8_t {
   kError,     ///< the batch's codec threw; `error` holds the exception
 };
 
-/// What a ticket resolves to. `analysis.ratios` is always initialized with
-/// the stream's MAG; the rest depends on `status` and the request kind:
-/// kAnalyze fills `analysis` (per-block vector + aggregates), kDecide fills
-/// only the aggregates (empty `analysis.blocks`), kCompress fills
-/// `payloads` (index-aligned with the request's blocks) + the ratio
-/// aggregates derived from payload sizes.
+/// What a ticket resolves to. `analysis.mag_bytes` is always the stream's
+/// MAG; the rest depends on `status` and the request kind: kAnalyze fills
+/// `analysis` (per-block vector + totals), kCompress fills `payloads`
+/// (index-aligned with the request's blocks) + the size totals derived from
+/// payload sizes (empty `analysis.blocks`).
 struct Response {
   ResponseStatus status = ResponseStatus::kOk;
   uint64_t tag = 0;                ///< echoed Request::tag

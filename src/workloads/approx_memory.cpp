@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <vector>
 
 #include "sim/trace_stream.h"
 
@@ -15,34 +16,16 @@ namespace {
 /// mutation) is block-disjoint and each block's outcome depends only on its
 /// own pre-commit contents, so sharding cannot change results. The whole
 /// [begin, end) range goes through the policy's process_batch kernel (SLC's
-/// staged mode decision, the lossless schemes' vectorized size probes).
+/// staged mode decision, the lossless schemes' vectorized size probes),
+/// which approximates lossy blocks in place.
 void process_blocks(const BlockCodec& codec, uint8_t* data, uint32_t* bursts, bool safe,
                     size_t threshold_bytes, size_t begin, size_t end, CommitStats& ws) {
-  const size_t n = end - begin;
-  std::vector<BlockView> views;
-  views.reserve(n);
-  for (size_t b = begin; b < end; ++b)
-    views.push_back(BlockView(std::span<const uint8_t>(data + b * kBlockBytes, kBlockBytes)));
-  std::vector<BlockCodecResult> results(n);
-  codec.process_batch(views, safe, threshold_bytes, results.data());
-  for (size_t i = 0; i < n; ++i) {
-    const BlockCodecResult& res = results[i];
-    const size_t b = begin + i;
-    bursts[b] = static_cast<uint32_t>(res.bursts);
-    ++ws.blocks;
-    ws.lossy_blocks += res.lossy ? 1 : 0;
-    ws.uncompressed_blocks += res.stored_uncompressed ? 1 : 0;
-    ws.bursts += res.bursts;
-    ws.truncated_symbols += res.truncated_symbols;
-    ws.original_bits += kBlockBytes * 8;
-    ws.lossless_bits += res.lossless_bits;
-    ws.final_bits += res.final_bits;
-    ws.cache.record(res.cache_probed, res.cache_hit, res.cache_evicted, res.cache_collision);
-    if (res.lossy) {
-      const auto src = res.decoded.bytes();
-      std::copy(src.begin(), src.end(), data + b * kBlockBytes);
-    }
-  }
+  std::vector<BlockAnalysis> out(end - begin);
+  codec.process_batch(std::span<uint8_t>(data + begin * kBlockBytes, out.size() * kBlockBytes),
+                      safe, threshold_bytes, out.data());
+  const size_t mag = codec.mag_bytes();
+  for (size_t i = 0; i < out.size(); ++i)
+    bursts[begin + i] = static_cast<uint32_t>(ws.add(out[i], kBlockBytes, mag));
 }
 
 }  // namespace

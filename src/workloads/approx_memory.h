@@ -65,8 +65,7 @@ using RegionId = uint32_t;
 struct TraceAccess {
   uint64_t addr = 0;       ///< device address (128 B aligned)
   /// DRAM bursts if this access misses all caches. Wide on purpose: a
-  /// geometry with block_bytes / mag_bytes > 255 (or a codec reporting
-  /// outsized burst counts) must not silently wrap.
+  /// geometry with block_bytes / mag_bytes > 255 must not silently wrap.
   uint32_t bursts = 0;
   bool write = false;
 };
@@ -81,60 +80,6 @@ struct KernelTrace {
   /// round-robin over SMs in groups of `accesses_per_cta`.
   uint32_t accesses_per_cta = 8;
   std::vector<TraceAccess> accesses;
-};
-
-/// Aggregate compression statistics over the commits of a run.
-struct CommitStats {
-  uint64_t blocks = 0;
-  uint64_t lossy_blocks = 0;
-  uint64_t uncompressed_blocks = 0;
-  uint64_t bursts = 0;
-  uint64_t truncated_symbols = 0;
-  uint64_t original_bits = 0;
-  uint64_t lossless_bits = 0;
-  uint64_t final_bits = 0;
-  /// Fingerprint-memo outcomes over the committed blocks (all zero for
-  /// codecs without a cache). Unlike every field above, these counters are
-  /// NOT thread-count invariant when a cache is shared across workers —
-  /// compare cached runs with same_decisions(), not operator==.
-  CacheCounters cache;
-
-  double avg_bursts() const {
-    return blocks ? static_cast<double>(bursts) / static_cast<double>(blocks) : 0.0;
-  }
-  double lossy_fraction() const {
-    return blocks ? static_cast<double>(lossy_blocks) / static_cast<double>(blocks) : 0.0;
-  }
-
-  /// All-field equality — the determinism checks compare whole accumulators
-  /// so a new counter can never silently escape them. For runs with a
-  /// fingerprint cache enabled this is stricter than the determinism
-  /// contract (hit/miss tallies race); those compare same_decisions().
-  bool operator==(const CommitStats&) const = default;
-
-  /// Every decision-derived counter equal, cache tallies ignored — the
-  /// equality a cached run is guaranteed to share with an uncached (or
-  /// differently-threaded) run of the same stream.
-  bool same_decisions(const CommitStats& o) const {
-    return blocks == o.blocks && lossy_blocks == o.lossy_blocks &&
-           uncompressed_blocks == o.uncompressed_blocks && bursts == o.bursts &&
-           truncated_symbols == o.truncated_symbols && original_bits == o.original_bits &&
-           lossless_bits == o.lossless_bits && final_bits == o.final_bits;
-  }
-
-  /// Folds another accumulator into this one (integer counters, so merging
-  /// is exact in any order — settle() merges per-commit stats with this).
-  void merge(const CommitStats& o) {
-    blocks += o.blocks;
-    lossy_blocks += o.lossy_blocks;
-    uncompressed_blocks += o.uncompressed_blocks;
-    bursts += o.bursts;
-    truncated_symbols += o.truncated_symbols;
-    original_bits += o.original_bits;
-    lossless_bits += o.lossless_bits;
-    final_bits += o.final_bits;
-    cache.merge(o.cache);
-  }
 };
 
 class ApproxMemory {

@@ -12,7 +12,6 @@
 #include "compress/fpc.h"
 #include "compress/huffman.h"
 #include "core/slc_block_codec.h"
-#include "core/slc_compressor.h"
 #include "core/slc_header.h"
 #include "core/tree_selector.h"
 
@@ -446,28 +445,15 @@ BlockAnalysis huffman_analyze(const HuffmanCompressor& comp, BlockView block) {
 
 // --- SLC --------------------------------------------------------------------
 
-SlcCodec::Decision slc_decide(const SlcCodec& codec, BlockView block,
-                              SlcCodec::CacheOutcome& oc) {
+SlcCodec::Decision slc_decide(const SlcCodec& codec, BlockView block) {
   SlcCodec::LengthScratch scratch;
   SlcCodec::Decision d;
-  codec.decide_batch_cached(std::span<const BlockView>(&block, 1), scratch, &d, &oc);
+  codec.decide_batch_cached(std::span<const BlockView>(&block, 1), scratch, &d);
   return d;
 }
 
 BlockAnalysis slc_analyze(const SlcCodec& codec, BlockView block) {
-  SlcCodec::CacheOutcome oc;
-  const SlcEncodeInfo info = slc_decide(codec, block, oc).info;
-  BlockAnalysis a;
-  a.bit_size = info.final_bits;
-  a.is_compressed = !info.stored_uncompressed;
-  a.lossy = info.lossy;
-  a.lossless_bits = info.lossless_bits;
-  a.truncated_symbols = info.truncated_symbols;
-  a.cache_probed = oc.probed;
-  a.cache_hit = oc.hit;
-  a.cache_evicted = oc.evicted;
-  a.cache_collision = oc.collision;
-  return a;
+  return slc_decide(codec, block).analysis;
 }
 
 BdiEncoding bdi_best_encoding(BlockView block) {
@@ -497,15 +483,9 @@ BdiEncoding bdi_best_encoding(BlockView block) {
   return best;
 }
 
-SlcCompressedBlock slc_compress(const SlcCodec& codec, BlockView block) {
-  SlcCodec::CacheOutcome oc;
-  const SlcCodec::Decision d = slc_decide(codec, block, oc);
-  SlcCompressedBlock out;
-  out.info = d.info;
-  if (d.info.stored_uncompressed) {
-    out.data = stored_raw(block);
-    return out;
-  }
+CompressedBlock slc_compress(const SlcCodec& codec, BlockView block) {
+  const SlcCodec::Decision d = slc_decide(codec, block);
+  if (!d.analysis.is_compressed) return stored_raw(block);
 
   const E2mcCompressor& e2mc = codec.lossless();
   const unsigned num_ways = e2mc.config().num_ways;
@@ -516,17 +496,14 @@ SlcCompressedBlock slc_compress(const SlcCodec& codec, BlockView block) {
 
   // The Fig. 6 header: m | ss | len (count-1, 4 bits) | pdps, byte-padded.
   BitWriter w;
-  w.put_bit(d.info.lossy);
+  w.put_bit(d.analysis.lossy);
   w.put(d.skip_start, ss_bits(n_sym));
-  assert(!d.info.lossy || (d.skip_count >= 1 && d.skip_count <= kMaxApproxSymbols));
-  w.put(d.info.lossy ? d.skip_count - 1 : 0, 4);
+  assert(!d.analysis.lossy || (d.skip_count >= 1 && d.skip_count <= kMaxApproxSymbols));
+  w.put(d.analysis.lossy ? d.skip_count - 1 : 0, 4);
   put_pdps(e2mc, block.size(), lo, SlcHeader::padded_bytes(block.size(), num_ways, n_sym), w);
   put_ways(e2mc, block, lo, d.skip_start, d.skip_count, w);
   assert(w.bit_size() == lo.total_bits);
-  out.data.is_compressed = true;
-  out.data.bit_size = w.bit_size();
-  out.data.payload = w.bytes();
-  return out;
+  return from_writer(block, w);
 }
 
 Codec reference_for(const Compressor& comp) {
@@ -541,9 +518,9 @@ Codec reference_for(const Compressor& comp) {
   if (const auto* c = dynamic_cast<const HuffmanCompressor*>(&comp))
     return {[c](BlockView b) { return huffman_compress(*c, b); },
             [c](BlockView b) { return huffman_analyze(*c, b); }};
-  if (const auto* c = dynamic_cast<const SlcCompressor*>(&comp))
-    return {[c](BlockView b) { return slc_compress(c->codec(), b).data; },
-            [c](BlockView b) { return slc_analyze(c->codec(), b); }};
+  if (const auto* c = dynamic_cast<const SlcCodec*>(&comp))
+    return {[c](BlockView b) { return slc_compress(*c, b); },
+            [c](BlockView b) { return slc_analyze(*c, b); }};
   throw std::invalid_argument("no reference encoder for " + comp.name());
 }
 
@@ -555,52 +532,25 @@ class PerBlockPolicy final : public BlockCodec {
  public:
   explicit PerBlockPolicy(std::shared_ptr<const BlockCodec> policy) : policy_(std::move(policy)) {}
 
-  void process_batch(std::span<const BlockView> blocks, bool safe_to_approx,
-                     size_t threshold_bytes, BlockCodecResult* out) const override {
+  void process_batch(std::span<uint8_t> data, bool safe_to_approx, size_t threshold_bytes,
+                     BlockAnalysis* out) const override {
+    const auto block = [data](size_t i) { return data.subspan(i * kBlockBytes, kBlockBytes); };
+    const size_t n = data.size() / kBlockBytes;
     if (const auto* slc = dynamic_cast<const SlcBlockCodec*>(policy_.get())) {
       SlcConfig cfg = slc->config();
       cfg.threshold_bytes = safe_to_approx ? std::min(threshold_bytes, cfg.threshold_bytes) : 0;
       const SlcCodec codec(slc->lossless(), cfg);
-      for (size_t i = 0; i < blocks.size(); ++i) {
-        SlcCodec::CacheOutcome oc;
-        const SlcCodec::Decision d = slc_decide(codec, blocks[i], oc);
-        BlockCodecResult& r = out[i];
-        r = BlockCodecResult{};
-        r.bursts = d.info.bursts;
-        r.lossless_bits = d.info.lossless_bits;
-        r.final_bits = d.info.final_bits;
-        r.lossy = d.info.lossy;
-        r.stored_uncompressed = d.info.stored_uncompressed;
-        r.truncated_symbols = d.info.truncated_symbols;
-        r.cache_probed = oc.probed;
-        r.cache_hit = oc.hit;
-        r.cache_evicted = oc.evicted;
-        r.cache_collision = oc.collision;
-        r.decoded = codec.approx_decode(blocks[i], d);
+      for (size_t i = 0; i < n; ++i) {
+        const SlcCodec::Decision d = slc_decide(codec, BlockView(block(i)));
+        out[i] = d.analysis;
+        codec.approximate(block(i), d);
       }
     } else if (const auto* lossless = dynamic_cast<const LosslessBlockCodec*>(policy_.get())) {
       const Codec ref = reference_for(lossless->compressor());
-      for (size_t i = 0; i < blocks.size(); ++i) {
-        const BlockAnalysis a = ref.analyze(blocks[i]);
-        const size_t raw_bits = blocks[i].size() * 8;
-        BlockCodecResult& r = out[i];
-        r = BlockCodecResult{};
-        r.lossless_bits = a.bit_size;
-        r.final_bits = a.bit_size;
-        r.stored_uncompressed = !a.is_compressed || a.bit_size >= raw_bits;
-        r.bursts = bursts_for_bits(a.bit_size, mag_bytes(), blocks[i].size());
-        r.decoded = Block(blocks[i].bytes());
-      }
+      for (size_t i = 0; i < n; ++i) out[i] = ref.analyze(BlockView(block(i)));
     } else {
-      for (size_t i = 0; i < blocks.size(); ++i) {
-        BlockCodecResult& r = out[i];
-        r = BlockCodecResult{};
-        r.bursts = blocks[i].size() / mag_bytes();
-        r.lossless_bits = blocks[i].size() * 8;
-        r.final_bits = blocks[i].size() * 8;
-        r.stored_uncompressed = true;
-        r.decoded = Block(blocks[i].bytes());
-      }
+      for (size_t i = 0; i < n; ++i)
+        out[i] = BlockAnalysis{.bit_size = kBlockBytes * 8, .lossless_bits = kBlockBytes * 8};
     }
   }
   size_t mag_bytes() const override { return policy_->mag_bytes(); }

@@ -61,11 +61,10 @@ CompressedBlock huffman_compress(const HuffmanCompressor& comp, BlockView block)
 BlockAnalysis huffman_analyze(const HuffmanCompressor& comp, BlockView block);
 /// SLC's one-block Fig. 4 decision: SlcCodec::decide_batch_cached over a
 /// span of one, served from the codec's fingerprint memo when it has one.
-SlcCodec::Decision slc_decide(const SlcCodec& codec, BlockView block,
-                              SlcCodec::CacheOutcome& oc);
+SlcCodec::Decision slc_decide(const SlcCodec& codec, BlockView block);
 /// SLC: the slc_decide() decision, emitted by the reference writer with its
 /// own header and way layout.
-SlcCompressedBlock slc_compress(const SlcCodec& codec, BlockView block);
+CompressedBlock slc_compress(const SlcCodec& codec, BlockView block);
 BlockAnalysis slc_analyze(const SlcCodec& codec, BlockView block);
 
 /// One scheme's per-block encoder pair.
@@ -83,7 +82,7 @@ Codec reference_for(const Compressor& comp);
 /// LosslessBlockCodec or SlcBlockCodec): a BlockCodec whose process_batch
 /// decides one block at a time. TSLC-* builds its own SlcCodec for the
 /// effective threshold (safe ? min(region, config) : 0) and takes each
-/// block's slc_decide() decision and approx_decode(); the lossless schemes
+/// block's slc_decide() decision and approximate(); the lossless schemes
 /// map reference_for(...).analyze; RAW returns the fixed raw result. Keeps
 /// `policy` alive; throws std::invalid_argument for any other policy type.
 std::shared_ptr<const BlockCodec> per_block_policy(std::shared_ptr<const BlockCodec> policy);

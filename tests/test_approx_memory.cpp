@@ -6,8 +6,10 @@
 #include <tuple>
 
 #include "common/rng.h"
+#include "core/fingerprint_cache.h"
 #include "core/slc_block_codec.h"
 #include "reference_codecs.h"
+#include "test_util.h"
 #include "workloads/approx_memory.h"
 
 namespace slc {
@@ -331,52 +333,22 @@ TEST(ApproxMemory, BatchCommitMatchesScalarAcrossThresholds) {
   EXPECT_GT(lossy_total, 0u);  // the sweep must exercise lossy materialization
 }
 
-// Regression for the narrowing fix: the per-block burst store used to be
-// uint8_t, silently wrapping any geometry (or codec) whose burst count
-// exceeds 255 — and 0 doubled as the "never committed" sentinel.
-TEST(ApproxMemory, BurstCountsAbove255SurviveCommitAndTrace) {
-  class WideBurstCodec final : public BlockCodec {
-   public:
-    void process_batch(std::span<const BlockView> blocks, bool, size_t,
-                       BlockCodecResult* out) const override {
-      for (size_t i = 0; i < blocks.size(); ++i) {
-        BlockCodecResult& r = out[i];
-        r.bursts = 300;  // > uint8_t: e.g. block_bytes / mag_bytes = 300
-        r.lossless_bits = blocks[i].size() * 8;
-        r.final_bits = blocks[i].size() * 8;
-        r.stored_uncompressed = true;
-        r.decoded = Block(blocks[i].bytes());
-      }
-    }
-    size_t mag_bytes() const override { return kDefaultMagBytes; }
-    std::string name() const override { return "WIDE"; }
-  };
-
-  ApproxMemory mem;
-  mem.set_codec(std::make_shared<WideBurstCodec>());
-  const RegionId r = mem.alloc("wide", 3 * kBlockBytes, true);
-  mem.commit(r);
-  EXPECT_EQ(mem.region_stats(r).bursts, 3u * 300u);
-  mem.begin_kernel("k", 1.0);
-  mem.trace_read(r);
-  for (const TraceAccess& a : mem.trace()[0].accesses) EXPECT_EQ(a.bursts, 300u);
-}
-
-/// One block through a policy's batch kernel.
-BlockCodecResult process_one(const BlockCodec& codec, const Block& b, bool safe,
-                             size_t threshold) {
-  const BlockView view = b.view();
-  BlockCodecResult r;
-  codec.process_batch(std::span<const BlockView>(&view, 1), safe, threshold, &r);
-  return r;
+/// One block through a policy's batch kernel (on a copy of its bytes).
+BlockAnalysis process_one(const BlockCodec& codec, const Block& b, bool safe, size_t threshold) {
+  Block copy = b;
+  BlockAnalysis a;
+  codec.process_batch(copy.mutable_bytes(), safe, threshold, &a);
+  return a;
 }
 
 TEST(BlockCodec, RawReportsMaxBursts) {
   const RawBlockCodec raw(32);
   Block b;
   const auto r = process_one(raw, b, true, 16);
-  EXPECT_EQ(r.bursts, 4u);
+  CommitStats st;
+  EXPECT_EQ(st.add(r, kBlockBytes, raw.mag_bytes()), 4u);
   EXPECT_FALSE(r.lossy);
+  EXPECT_FALSE(r.is_compressed);
   EXPECT_EQ(raw.max_bursts(), 4u);
 }
 
@@ -399,6 +371,78 @@ TEST(BlockCodec, SlcRespectsRegionThreshold) {
   }
   EXPECT_GT(lossy_with, 0u);
   EXPECT_EQ(lossy_without, 0u);
+}
+
+// CommitStats::add is the one per-block fold. It must give exactly what the
+// three folds it replaced gave on a span mixing lossy, lossless and raw
+// blocks with memo hits: the commit fold (policy-reported bursts, raw
+// blocks at full cost), the server's analyze fold (bursts derived from the
+// stored size) and the engine's stream fold (ratio accumulator plus
+// lossy/truncated/cache tallies).
+TEST(CommitStats, OneFoldMatchesTheFoldsItReplaced) {
+  constexpr size_t kMag = 32;
+  SlcConfig cfg;
+  cfg.mag_bytes = kMag;
+  cfg.cache = std::make_shared<FingerprintCache>();
+  const SlcBlockCodec codec(tiny_e2mc(), cfg);
+  const std::vector<Block> blocks = test::dedup_corpus(
+      {.blocks = 192, .dup_fraction = 0.3, .zero_fraction = 0.1, .seed = 7});
+  std::vector<uint8_t> data = test::corpus_bytes(blocks);
+  std::vector<BlockAnalysis> out(blocks.size());
+  codec.process_batch(data, /*safe=*/true, /*threshold=*/16, out.data());
+
+  CommitStats fold, commit_fold, server_fold;
+  // The stream fold's ratio accumulator: stored bits clamped to the block,
+  // fetched bits rounded up to whole bursts, at least one, at most the block.
+  uint64_t stream_blocks = 0, stream_original = 0, stream_raw = 0, stream_effective = 0;
+  uint64_t stream_lossy = 0, stream_truncated = 0;
+  CacheCounters stream_cache;
+  size_t lossy = 0, lossless = 0, raw = 0;
+  for (const BlockAnalysis& a : out) {
+    fold.add(a, kBlockBytes, kMag);
+    lossy += a.lossy ? 1 : 0;
+    raw += a.is_compressed ? 0 : 1;
+    lossless += a.is_compressed && !a.lossy ? 1 : 0;
+
+    for (CommitStats* cs : {&commit_fold, &server_fold}) {
+      cs->blocks += 1;
+      cs->lossy_blocks += a.lossy ? 1 : 0;
+      cs->uncompressed_blocks += a.is_compressed ? 0 : 1;
+      cs->truncated_symbols += a.truncated_symbols;
+      cs->original_bits += kBlockBytes * 8;
+      cs->lossless_bits += a.lossless_bits;
+      cs->final_bits += a.bit_size;
+      cs->cache.record(a.cache);
+    }
+    commit_fold.bursts +=
+        a.is_compressed ? bursts_for_bits(a.bit_size, kMag) : kBlockBytes / kMag;
+    server_fold.bursts += bursts_for_bits(a.bit_size, kMag, kBlockBytes);
+
+    const size_t raw_bits = std::min(a.bit_size, kBlockBytes * 8);
+    stream_blocks += 1;
+    stream_original += kBlockBytes * 8;
+    stream_raw += raw_bits;
+    stream_effective += std::min(std::max(round_up_to_mag_bits(raw_bits, kMag), kMag * 8),
+                                 kBlockBytes * 8);
+    stream_lossy += a.lossy ? 1 : 0;
+    stream_truncated += a.truncated_symbols;
+    stream_cache.record(a.cache);
+  }
+  ASSERT_GT(lossy, 0u);
+  ASSERT_GT(lossless, 0u);
+  ASSERT_GT(raw, 0u);
+  ASSERT_GT(fold.cache.hits, 0u);
+
+  EXPECT_EQ(fold, commit_fold);
+  EXPECT_EQ(fold, server_fold);
+  EXPECT_EQ(fold.blocks, stream_blocks);
+  EXPECT_EQ(fold.raw_ratio(),
+            static_cast<double>(stream_original) / static_cast<double>(stream_raw));
+  EXPECT_EQ(fold.effective_ratio(kMag),
+            static_cast<double>(stream_original) / static_cast<double>(stream_effective));
+  EXPECT_EQ(fold.lossy_blocks, stream_lossy);
+  EXPECT_EQ(fold.truncated_symbols, stream_truncated);
+  EXPECT_EQ(fold.cache, stream_cache);
 }
 
 }  // namespace

@@ -182,45 +182,43 @@ TEST(BatchKernels, ByteIdenticalToScalarLoopForEveryRegistryCodec) {
 // --- BlockCodec::process_batch ----------------------------------------------
 // The memory-controller policies' batch kernel must match the per-block
 // reference policy (ref::per_block_policy) field for field — including the
-// decoded bytes lossy SLC blocks mutate — for every registry policy, every
-// (safe, threshold) region annotation, and any batch split. This is the
-// contract that lets ApproxMemory's commit kernel hand whole engine shards
-// to process_batch.
-
-void expect_result_eq(const BlockCodecResult& scalar, const BlockCodecResult& batch,
-                      const std::string& what) {
-  EXPECT_EQ(scalar.bursts, batch.bursts) << what;
-  EXPECT_EQ(scalar.lossless_bits, batch.lossless_bits) << what;
-  EXPECT_EQ(scalar.final_bits, batch.final_bits) << what;
-  EXPECT_EQ(scalar.lossy, batch.lossy) << what;
-  EXPECT_EQ(scalar.stored_uncompressed, batch.stored_uncompressed) << what;
-  EXPECT_EQ(scalar.truncated_symbols, batch.truncated_symbols) << what;
-  EXPECT_EQ(scalar.decoded, batch.decoded) << what;
-}
+// bytes lossy SLC blocks are overwritten with — for every registry policy,
+// every (safe, threshold) region annotation, and any batch split. This is
+// the contract that lets ApproxMemory's commit kernel hand whole engine
+// shards to process_batch.
 
 /// Checks `codec` against its per-block reference; returns how many blocks
 /// the batch kernel decided lossy.
 size_t check_block_codec(const std::shared_ptr<const BlockCodec>& codec,
                          const std::vector<Block>& blocks, bool safe, size_t threshold,
                          const std::string& label) {
-  const std::vector<BlockView> views = to_views(blocks);
-
-  std::vector<BlockCodecResult> scalar(blocks.size());
-  ref::per_block_policy(codec)->process_batch(views, safe, threshold, scalar.data());
+  const std::vector<uint8_t> original = test::corpus_bytes(blocks);
+  std::vector<uint8_t> scalar_bytes = original;
+  std::vector<BlockAnalysis> scalar(blocks.size());
+  ref::per_block_policy(codec)->process_batch(scalar_bytes, safe, threshold, scalar.data());
 
   size_t lossy = 0;
   for (const size_t split : {size_t{1}, size_t{5}, blocks.size()}) {
-    std::vector<BlockCodecResult> batch(blocks.size());
+    std::vector<uint8_t> bytes = original;
+    std::vector<BlockAnalysis> batch(blocks.size());
     for (size_t begin = 0; begin < blocks.size(); begin += split) {
       const size_t len = std::min(split, blocks.size() - begin);
-      codec->process_batch(std::span<const BlockView>(views.data() + begin, len), safe,
+      codec->process_batch(std::span(bytes).subspan(begin * kBlockBytes, len * kBlockBytes), safe,
                            threshold, batch.data() + begin);
     }
     for (size_t i = 0; i < blocks.size(); ++i) {
-      expect_result_eq(scalar[i], batch[i],
-                       codec->name() + "/" + label + " safe=" + std::to_string(safe) +
-                           " threshold=" + std::to_string(threshold) + " block " +
-                           std::to_string(i) + " split " + std::to_string(split));
+      const std::string what = codec->name() + "/" + label + " safe=" + std::to_string(safe) +
+                               " threshold=" + std::to_string(threshold) + " block " +
+                               std::to_string(i) + " split " + std::to_string(split);
+      expect_analysis_eq(scalar[i], batch[i], what);
+      const auto block_bytes = [i](const std::vector<uint8_t>& v) {
+        return std::vector<uint8_t>(v.begin() + static_cast<ptrdiff_t>(i * kBlockBytes),
+                                    v.begin() + static_cast<ptrdiff_t>((i + 1) * kBlockBytes));
+      };
+      EXPECT_EQ(block_bytes(scalar_bytes), block_bytes(bytes)) << what;
+      if (!batch[i].lossy) {
+        EXPECT_EQ(block_bytes(original), block_bytes(bytes)) << what;
+      }
       if (split == blocks.size()) lossy += batch[i].lossy ? 1 : 0;
     }
   }

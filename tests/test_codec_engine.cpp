@@ -70,11 +70,11 @@ TEST(CodecEngine, ThreadCountInvariantResults) {
       EXPECT_EQ(a1.blocks[i].bit_size, a4.blocks[i].bit_size) << scheme << " block " << i;
       EXPECT_EQ(a1.blocks[i].lossy, a4.blocks[i].lossy) << scheme << " block " << i;
     }
-    EXPECT_EQ(a1.ratios.blocks(), a4.ratios.blocks());
-    EXPECT_EQ(a1.ratios.raw_ratio(), a4.ratios.raw_ratio()) << scheme;
-    EXPECT_EQ(a1.ratios.effective_ratio(), a4.ratios.effective_ratio()) << scheme;
-    EXPECT_EQ(a1.lossy_blocks, a4.lossy_blocks) << scheme;
-    EXPECT_EQ(a1.truncated_symbols, a4.truncated_symbols) << scheme;
+    EXPECT_EQ(a1.totals.blocks, a4.totals.blocks);
+    EXPECT_EQ(a1.raw_ratio(), a4.raw_ratio()) << scheme;
+    EXPECT_EQ(a1.effective_ratio(), a4.effective_ratio()) << scheme;
+    EXPECT_EQ(a1.totals.lossy_blocks, a4.totals.lossy_blocks) << scheme;
+    EXPECT_EQ(a1.totals.truncated_symbols, a4.totals.truncated_symbols) << scheme;
 
     const auto c1 = one.submit_compress(*comp, blocks).wait();
     const auto c4 = four.submit_compress(*comp, blocks).wait();
@@ -122,11 +122,11 @@ TEST(CodecEngine, AnalyzeBytesTailPaddingMatchesToBlocks) {
       EXPECT_EQ(a.lossless_bits, b.lossless_bits) << bytes << " bytes, block " << i;
       EXPECT_EQ(a.truncated_symbols, b.truncated_symbols) << bytes << " bytes, block " << i;
     }
-    EXPECT_EQ(from_ragged.ratios.blocks(), from_padded.ratios.blocks()) << bytes;
-    EXPECT_EQ(from_ragged.ratios.raw_ratio(), from_padded.ratios.raw_ratio()) << bytes;
-    EXPECT_EQ(from_ragged.ratios.effective_ratio(), from_padded.ratios.effective_ratio()) << bytes;
-    EXPECT_EQ(from_ragged.lossy_blocks, from_padded.lossy_blocks) << bytes;
-    EXPECT_EQ(from_ragged.truncated_symbols, from_padded.truncated_symbols) << bytes;
+    EXPECT_EQ(from_ragged.totals.blocks, from_padded.totals.blocks) << bytes;
+    EXPECT_EQ(from_ragged.raw_ratio(), from_padded.raw_ratio()) << bytes;
+    EXPECT_EQ(from_ragged.effective_ratio(), from_padded.effective_ratio()) << bytes;
+    EXPECT_EQ(from_ragged.totals.lossy_blocks, from_padded.totals.lossy_blocks) << bytes;
+    EXPECT_EQ(from_ragged.totals.truncated_symbols, from_padded.totals.truncated_symbols) << bytes;
   }
 }
 
@@ -150,7 +150,8 @@ TEST(CodecEngine, AnalyzeBytesPadsTail) {
 }
 
 // The one per-block fold the engine and the server share: folding a stream
-// in two partials and merging equals folding it in one pass.
+// in two partials and merging equals folding it in one pass, which is what
+// the engine's own analysis totals hold.
 TEST(CodecEngine, StreamAnalysisMergeOfPartialsEqualsOnePass) {
   const auto training = quantized_walk(31, 256);
   const auto blocks = to_blocks(quantized_walk(37, 40));
@@ -158,21 +159,16 @@ TEST(CodecEngine, StreamAnalysisMergeOfPartialsEqualsOnePass) {
   std::vector<BlockAnalysis> analyses(blocks.size());
   comp->analyze_batch(to_views(blocks), analyses.data());
 
-  CodecEngine::StreamAnalysis one, lo, hi;
-  one.ratios = lo.ratios = hi.ratios = RatioAccumulator(32);
+  CommitStats one, lo, hi;
   for (size_t i = 0; i < blocks.size(); ++i) {
-    one.add(analyses[i], kBlockBytes * 8);
-    (i < 13 ? lo : hi).add(analyses[i], kBlockBytes * 8);
+    one.add(analyses[i], kBlockBytes, 32);
+    (i < 13 ? lo : hi).add(analyses[i], kBlockBytes, 32);
   }
   lo.merge(hi);
   EXPECT_GT(one.lossy_blocks, 0u);
-  EXPECT_EQ(lo.lossy_blocks, one.lossy_blocks);
-  EXPECT_EQ(lo.truncated_symbols, one.truncated_symbols);
-  EXPECT_EQ(lo.cache, one.cache);
-  EXPECT_EQ(lo.ratios.blocks(), one.ratios.blocks());
-  EXPECT_EQ(lo.ratios.raw_ratio(), one.ratios.raw_ratio());
-  EXPECT_EQ(lo.ratios.effective_ratio(), one.ratios.effective_ratio());
-  EXPECT_TRUE(lo.blocks.empty());  // add/merge fold aggregates only
+  EXPECT_EQ(lo, one);
+  CodecEngine engine(3);
+  EXPECT_EQ(engine.submit_analyze(*comp, blocks, 32).wait().totals, one);
 }
 
 // --- async submission API ---------------------------------------------------
@@ -220,10 +216,10 @@ TEST(CodecEngine, ConcurrentSubmitsMatchSequentialAnalyze) {
     ASSERT_EQ(got.blocks.size(), want.blocks.size());
     for (size_t i = 0; i < got.blocks.size(); ++i)
       EXPECT_EQ(got.blocks[i].bit_size, want.blocks[i].bit_size) << "stream " << s << " block " << i;
-    EXPECT_EQ(got.ratios.raw_ratio(), want.ratios.raw_ratio()) << "stream " << s;
-    EXPECT_EQ(got.ratios.effective_ratio(), want.ratios.effective_ratio()) << "stream " << s;
-    EXPECT_EQ(got.lossy_blocks, want.lossy_blocks);
-    EXPECT_EQ(got.truncated_symbols, want.truncated_symbols);
+    EXPECT_EQ(got.raw_ratio(), want.raw_ratio()) << "stream " << s;
+    EXPECT_EQ(got.effective_ratio(), want.effective_ratio()) << "stream " << s;
+    EXPECT_EQ(got.totals.lossy_blocks, want.totals.lossy_blocks);
+    EXPECT_EQ(got.totals.truncated_symbols, want.totals.truncated_symbols);
 
     const auto got_payloads = payloads[s].wait();
     const auto want_payloads = reference.submit_compress(*comp, streams[s]).wait();

@@ -9,7 +9,7 @@
 #include "test_util.h"
 #include "compress/block_codec.h"
 #include "compress/codec_registry.h"
-#include "core/slc_compressor.h"
+#include "core/slc_codec.h"
 #include "reference_codecs.h"
 
 namespace slc {
@@ -135,17 +135,16 @@ TEST(CodecRegistry, BlockCodecConstructibleForEveryScheme) {
     const auto codec = reg.create_block_codec(info->name, test_options(training));
     ASSERT_NE(codec, nullptr) << info->name;
     EXPECT_EQ(codec->mag_bytes(), 32u) << info->name;
-    const std::vector<BlockView> views = to_views(blocks);
-    std::vector<BlockCodecResult> results(views.size());
-    ref::per_block_policy(codec)->process_batch(views, /*safe=*/true, /*threshold=*/16,
+    std::vector<uint8_t> bytes = test::corpus_bytes(blocks);
+    std::vector<BlockAnalysis> results(blocks.size());
+    ref::per_block_policy(codec)->process_batch(bytes, /*safe=*/true, /*threshold=*/16,
                                                 results.data());
     for (size_t i = 0; i < blocks.size(); ++i) {
-      const BlockCodecResult& r = results[i];
-      EXPECT_GE(r.bursts, 1u) << info->name;
-      EXPECT_LE(r.bursts, kBlockBytes / 32) << info->name;
-      if (!info->lossy) {
-        EXPECT_EQ(r.decoded, blocks[i]) << info->name;
-      }
+      EXPECT_LE(results[i].bit_size, kBlockBytes * 8) << info->name;
+      EXPECT_EQ(results[i].is_compressed, results[i].bit_size < kBlockBytes * 8) << info->name;
+    }
+    if (!info->lossy) {
+      EXPECT_EQ(bytes, test::corpus_bytes(blocks)) << info->name;
     }
   }
 }
@@ -175,17 +174,20 @@ TEST(CodecRegistry, TrainedModelReuseMatchesRetraining) {
 TEST(CodecRegistry, SlcAdapterExposesEncodeInfo) {
   const auto& reg = CodecRegistry::instance();
   const auto training = quantized_walk(23, 256);
-  const auto comp = std::dynamic_pointer_cast<const SlcCompressor>(
+  const auto comp = std::dynamic_pointer_cast<const SlcCodec>(
       reg.create("TSLC-OPT", test_options(training)));
   ASSERT_NE(comp, nullptr);
-  const auto blocks = reference_blocks();
-  for (const Block& b : blocks) {
-    const SlcEncodeInfo info = comp->codec().analyze(b.view());
-    const BlockAnalysis a = comp->analyze(b.view());
-    EXPECT_EQ(a.bit_size, info.final_bits);
-    EXPECT_EQ(a.lossy, info.lossy);
-    EXPECT_EQ(a.lossless_bits, info.lossless_bits);
-    EXPECT_EQ(a.truncated_symbols, info.truncated_symbols);
+  const auto owned = reference_blocks();
+  const auto blocks = to_views(owned);
+  SlcCodec::LengthScratch scratch;
+  std::vector<SlcCodec::Decision> decisions(blocks.size());
+  comp->decide_batch(blocks, scratch, decisions.data());
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    const BlockAnalysis a = comp->analyze(blocks[i]);
+    EXPECT_EQ(a.bit_size, decisions[i].analysis.bit_size);
+    EXPECT_EQ(a.lossy, decisions[i].analysis.lossy);
+    EXPECT_EQ(a.lossless_bits, decisions[i].analysis.lossless_bits);
+    EXPECT_EQ(a.truncated_symbols, decisions[i].analysis.truncated_symbols);
   }
 }
 

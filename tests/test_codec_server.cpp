@@ -143,10 +143,10 @@ TEST(CodecServer, RequestMatchesEngineAnalyzeBytes) {
   ASSERT_EQ(got.analysis.blocks.size(), want.blocks.size());
   for (size_t i = 0; i < got.analysis.blocks.size(); ++i)
     EXPECT_EQ(got.analysis.blocks[i].bit_size, want.blocks[i].bit_size) << "block " << i;
-  EXPECT_EQ(got.analysis.ratios.raw_ratio(), want.ratios.raw_ratio());
-  EXPECT_EQ(got.analysis.ratios.effective_ratio(), want.ratios.effective_ratio());
-  EXPECT_EQ(got.analysis.lossy_blocks, want.lossy_blocks);
-  EXPECT_EQ(got.analysis.truncated_symbols, want.truncated_symbols);
+  EXPECT_EQ(got.analysis.raw_ratio(), want.raw_ratio());
+  EXPECT_EQ(got.analysis.effective_ratio(), want.effective_ratio());
+  EXPECT_EQ(got.analysis.totals.lossy_blocks, want.totals.lossy_blocks);
+  EXPECT_EQ(got.analysis.totals.truncated_symbols, want.totals.truncated_symbols);
 }
 
 TEST(CodecServer, CoalescesSmallRequestsIntoBatches) {
@@ -372,11 +372,11 @@ TEST(CodecServer, PerStreamResultsThreadCountInvariant) {
     for (size_t i = 0; i < res1[r].analysis.blocks.size(); ++i)
       EXPECT_EQ(res1[r].analysis.blocks[i].bit_size, res4[r].analysis.blocks[i].bit_size)
           << "request " << r << " block " << i;
-    EXPECT_EQ(res1[r].analysis.ratios.raw_ratio(), res4[r].analysis.ratios.raw_ratio())
-        << "request " << r;
-    EXPECT_EQ(res1[r].analysis.ratios.effective_ratio(), res4[r].analysis.ratios.effective_ratio());
-    EXPECT_EQ(res1[r].analysis.lossy_blocks, res4[r].analysis.lossy_blocks);
-    EXPECT_EQ(res1[r].analysis.truncated_symbols, res4[r].analysis.truncated_symbols);
+    EXPECT_EQ(res1[r].analysis.raw_ratio(), res4[r].analysis.raw_ratio()) << "request " << r;
+    EXPECT_EQ(res1[r].analysis.effective_ratio(), res4[r].analysis.effective_ratio());
+    EXPECT_EQ(res1[r].analysis.totals.lossy_blocks, res4[r].analysis.totals.lossy_blocks);
+    EXPECT_EQ(res1[r].analysis.totals.truncated_symbols,
+              res4[r].analysis.totals.truncated_symbols);
   }
   EXPECT_EQ(bulk1, bulk4);  // CommitStats all-field equality
   EXPECT_EQ(lat1, lat4);
@@ -650,28 +650,6 @@ TEST(CodecServer, KindSwitchFlushesPendingBatch) {
   EXPECT_EQ(server.stream_stats(s).batches, 2u) << "one batch per kind";
 }
 
-// kDecide is the cheap tier: the same deterministic aggregates as kAnalyze
-// with no per-block vector materialized.
-TEST(CodecServer, DecideKindReturnsAggregatesOnly) {
-  const auto training = quantized_walk(31, 256);
-  CodecServer server;
-  const StreamId s = server.open_stream(e2mc_stream("decide", training));
-
-  const auto data = quantized_walk(55, 6);
-  const Response analyzed = server.submit(s, Request{.bytes = data}).wait();
-  const Response decided =
-      server.submit(s, Request{.kind = RequestKind::kDecide, .bytes = data}).wait();
-  ASSERT_TRUE(analyzed.ok());
-  ASSERT_TRUE(decided.ok());
-  EXPECT_EQ(analyzed.analysis.blocks.size(), 6u);
-  EXPECT_TRUE(decided.analysis.blocks.empty());
-  EXPECT_EQ(decided.analysis.ratios.raw_ratio(), analyzed.analysis.ratios.raw_ratio());
-  EXPECT_EQ(decided.analysis.ratios.effective_ratio(),
-            analyzed.analysis.ratios.effective_ratio());
-  EXPECT_EQ(decided.analysis.lossy_blocks, analyzed.analysis.lossy_blocks);
-  EXPECT_EQ(decided.analysis.truncated_symbols, analyzed.analysis.truncated_symbols);
-}
-
 // A served-late response says so: deadline_missed on the response, the
 // stream's deadline_misses counter, and the tag round-trip.
 TEST(CodecServer, DeadlineMissSurfacedInResponseAndStats) {
@@ -710,10 +688,8 @@ TEST(CodecServer, StreamStatsMergeAddsNewCounters) {
 }
 
 // A stream's explicit options.fingerprint_cache takes its traffic; a stream
-// without one generates no cache traffic, and nothing reaches the engine's
-// cache unless a stream attached it.
+// without one generates no cache traffic.
 TEST(CodecServer, ExplicitCacheTakesTrafficAndNoCacheStaysCold) {
-  if (!FingerprintCache::runtime_enabled()) GTEST_SKIP() << "cache force-disabled";
   const auto training = quantized_walk(31, 256);
   auto explicit_cache = std::make_shared<FingerprintCache>();
 
@@ -739,16 +715,14 @@ TEST(CodecServer, ExplicitCacheTakesTrafficAndNoCacheStaysCold) {
   ASSERT_TRUE(cached_res.ok());
   ASSERT_TRUE(cold_res.ok());
   EXPECT_GT(explicit_cache->size(), 0u) << "traffic must land in the explicit cache";
-  EXPECT_GT(cached_res.analysis.cache.probes(), 0u);
-  EXPECT_EQ(cold_res.analysis.cache.probes(), 0u) << "a stream without a cache generates no probes";
-  EXPECT_EQ(server.engine().fingerprint_cache()->size(), 0u)
-      << "the shared engine cache must not have been wired in";
+  EXPECT_GT(cached_res.analysis.totals.cache.probes(), 0u);
+  EXPECT_EQ(cold_res.analysis.totals.cache.probes(), 0u)
+      << "a stream without a cache generates no probes";
 }
 
 // Isolation: two streams with private caches do not share entries, while
-// two streams attached to the engine's cache hit each other's.
+// two streams attached to one cache hit each other's.
 TEST(CodecServer, PrivateCachesIsolateSharedCacheDedups) {
-  if (!FingerprintCache::runtime_enabled()) GTEST_SKIP() << "cache force-disabled";
   const auto training = quantized_walk(31, 256);
   const auto data = quantized_walk(58, 8);
   // One trained model for both streams: the cache keys on codec identity
@@ -765,20 +739,18 @@ TEST(CodecServer, PrivateCachesIsolateSharedCacheDedups) {
     a.name = "a";
     a.codec = "TSLC-OPT";
     a.options = opts;
-    a.options.fingerprint_cache =
-        shared ? server.engine().fingerprint_cache() : std::make_shared<FingerprintCache>();
+    a.options.fingerprint_cache = std::make_shared<FingerprintCache>();
     StreamConfig b = a;
     b.name = "b";
-    b.options.fingerprint_cache =
-        shared ? server.engine().fingerprint_cache() : std::make_shared<FingerprintCache>();
+    if (!shared) b.options.fingerprint_cache = std::make_shared<FingerprintCache>();
     const StreamId sa = server.open_stream(a);
     const StreamId sb = server.open_stream(b);
     server.submit(sa, Request{.bytes = data}).wait();
     const Response second = server.submit(sb, Request{.bytes = data}).wait();
-    return second.analysis.cache.hits;
+    return second.analysis.totals.cache.hits;
   };
 
-  EXPECT_GT(run(/*shared=*/true), 0u) << "the engine cache dedups across streams";
+  EXPECT_GT(run(/*shared=*/true), 0u) << "a shared cache dedups across streams";
   EXPECT_EQ(run(/*shared=*/false), 0u) << "private caches must not leak across streams";
 }
 

@@ -10,7 +10,7 @@
 //     drain()/~CodecServer return instead of waiting on a counter that can
 //     no longer move;
 //   * shared fingerprint-cache traffic — concurrent analyze jobs through one
-//     engine-owned cache stay byte-identical to the uncached oracle;
+//     engine and one shared cache stay byte-identical to the uncached oracle;
 //   * TraceStream producer/consumer traffic — a slow producer against fast
 //     consumers, backpressure under a tiny budget, and mid-stream
 //     destruction (cancel) must neither hang, drop, nor double-deliver a
@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "compress/codec_registry.h"
+#include "core/fingerprint_cache.h"
 #include "engine/codec_engine.h"
 #include "server/codec_server.h"
 #include "sim/trace_stream.h"
@@ -198,7 +199,7 @@ TEST(ConcurrencyStress, ServerSubmitsRaceEngineShutdown) {
 // --- shared fingerprint cache -----------------------------------------------
 
 // Concurrent client threads pushing overlapping analyze jobs through one
-// engine and its shared fingerprint cache: every result must equal the
+// engine and one shared fingerprint cache: every result must equal the
 // single-threaded uncached oracle, no matter how probes interleave. (The
 // decisions are the contract; hit/miss tallies are not.)
 TEST(ConcurrencyStress, SharedCacheConcurrentAnalyzeJobs) {
@@ -209,7 +210,7 @@ TEST(ConcurrencyStress, SharedCacheConcurrentAnalyzeJobs) {
                                           .seed = 91});
   auto engine = std::make_shared<CodecEngine>(4);
   CodecOptions cached_opts = test_options(training());
-  cached_opts.fingerprint_cache = engine->fingerprint_cache();
+  cached_opts.fingerprint_cache = std::make_shared<FingerprintCache>();
   const auto cached = CodecRegistry::instance().create("TSLC-OPT", cached_opts);
   const auto uncached = CodecRegistry::instance().create("TSLC-OPT", test_options(training()));
   CodecEngine reference(1);

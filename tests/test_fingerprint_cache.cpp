@@ -9,12 +9,8 @@
 //
 // Hit/miss/eviction *counters* are not part of the determinism contract
 // (see CacheCounters), so decision checks use CommitStats::same_decisions.
-// Tests that assert cache effects (hits, evictions) skip themselves when
-// SLC_FINGERPRINT_CACHE force-disables the memo — the differential checks
-// still run and must pass trivially in that configuration.
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <memory>
 #include <set>
 #include <string>
@@ -100,35 +96,51 @@ std::vector<NamedCorpus> fuzz_corpora() {
   return out;
 }
 
-void expect_info_eq(const SlcEncodeInfo& a, const SlcEncodeInfo& b, const std::string& what) {
+// The cache outcome is deliberately NOT compared: hit-rate bookkeeping,
+// never part of the determinism contract.
+void expect_analysis_eq(const BlockAnalysis& a, const BlockAnalysis& b, const std::string& what) {
+  EXPECT_EQ(a.bit_size, b.bit_size) << what;
+  EXPECT_EQ(a.is_compressed, b.is_compressed) << what;
   EXPECT_EQ(a.lossy, b.lossy) << what;
-  EXPECT_EQ(a.stored_uncompressed, b.stored_uncompressed) << what;
   EXPECT_EQ(a.lossless_bits, b.lossless_bits) << what;
-  EXPECT_EQ(a.final_bits, b.final_bits) << what;
-  EXPECT_EQ(a.bursts, b.bursts) << what;
   EXPECT_EQ(a.truncated_symbols, b.truncated_symbols) << what;
-  EXPECT_EQ(a.truncated_bits, b.truncated_bits) << what;
-  EXPECT_EQ(a.extra_bits, b.extra_bits) << what;
 }
 
-void expect_result_eq(const BlockCodecResult& a, const BlockCodecResult& b,
-                      const std::string& what) {
-  EXPECT_EQ(a.bursts, b.bursts) << what;
-  EXPECT_EQ(a.lossless_bits, b.lossless_bits) << what;
-  EXPECT_EQ(a.final_bits, b.final_bits) << what;
-  EXPECT_EQ(a.lossy, b.lossy) << what;
-  EXPECT_EQ(a.stored_uncompressed, b.stored_uncompressed) << what;
-  EXPECT_EQ(a.truncated_symbols, b.truncated_symbols) << what;
-  EXPECT_EQ(a.decoded, b.decoded) << what;
-  // The cache_* outcome flags are deliberately NOT compared: hit-rate
-  // bookkeeping, never part of the determinism contract.
+void expect_decision_eq(const SlcCodec::Decision& a, const SlcCodec::Decision& b,
+                        const std::string& what) {
+  expect_analysis_eq(a.analysis, b.analysis, what);
+  EXPECT_EQ(a.extra_bits, b.extra_bits) << what;
+  EXPECT_EQ(a.truncated_bits, b.truncated_bits) << what;
+  EXPECT_EQ(a.skip_start, b.skip_start) << what;
+  EXPECT_EQ(a.skip_count, b.skip_count) << what;
+}
+
+/// One process_batch pass over a copy of `blocks`: each block's outcome and
+/// the bytes reads observe afterwards.
+struct PolicyRun {
+  std::vector<BlockAnalysis> out;
+  std::vector<uint8_t> bytes;
+};
+
+PolicyRun run_policy(const BlockCodec& codec, const std::vector<Block>& blocks, bool safe,
+                     size_t threshold) {
+  PolicyRun run{std::vector<BlockAnalysis>(blocks.size()), test::corpus_bytes(blocks)};
+  codec.process_batch(run.bytes, safe, threshold, run.out.data());
+  return run;
+}
+
+void expect_run_eq(const PolicyRun& a, const PolicyRun& b, const std::string& what) {
+  ASSERT_EQ(a.out.size(), b.out.size()) << what;
+  for (size_t i = 0; i < a.out.size(); ++i)
+    expect_analysis_eq(a.out[i], b.out[i], what + " block " + std::to_string(i));
+  EXPECT_EQ(a.bytes, b.bytes) << what;
 }
 
 SlcCodec::Decision arbitrary_decision(size_t tag) {
   SlcCodec::Decision d;
-  d.info.final_bits = 100 + tag;
-  d.info.bursts = 1 + tag % 4;
-  d.info.lossy = (tag % 2) != 0;
+  d.analysis.bit_size = 100 + tag;
+  d.analysis.is_compressed = tag % 4 != 0;
+  d.analysis.lossy = (tag % 2) != 0;
   d.skip_start = tag;
   d.skip_count = tag * 2;
   return d;
@@ -173,9 +185,7 @@ TEST(FingerprintCache, InsertThenLookupRoundTripsTheDecision) {
   EXPECT_FALSE(cache.insert(1, 42, b.bytes(), in));
   SlcCodec::Decision out;
   EXPECT_EQ(cache.lookup(1, 42, b.bytes(), out), FingerprintCache::Lookup::kHit);
-  expect_info_eq(out.info, in.info, "roundtrip");
-  EXPECT_EQ(out.skip_start, in.skip_start);
-  EXPECT_EQ(out.skip_count, in.skip_count);
+  expect_decision_eq(out, in, "roundtrip");
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.counters().hits, 1u);
 }
@@ -205,7 +215,7 @@ TEST(FingerprintCache, ReinsertRefreshesWithoutEvicting) {
   EXPECT_EQ(cache.counters().evictions, 0u);
   SlcCodec::Decision d;
   EXPECT_EQ(cache.lookup(1, 7, b.bytes(), d), FingerprintCache::Lookup::kHit);
-  EXPECT_EQ(d.info.final_bits, arbitrary_decision(2).info.final_bits);  // last writer wins
+  EXPECT_EQ(d.analysis.bit_size, arbitrary_decision(2).analysis.bit_size);  // last writer wins
 }
 
 TEST(FingerprintCache, VerifyOnHitCatchesCollision) {
@@ -298,7 +308,7 @@ TEST(FingerprintCache, ConcurrentMixedHitMissTrafficWithVerifyOnHit) {
           SlcCodec::Decision d;
           const auto r = cache.lookup(kKey, fp, block_for(fp).bytes(), d);
           if (r == FingerprintCache::Lookup::kHit &&
-              d.info.final_bits != arbitrary_decision(fp).info.final_bits)
+              d.analysis.bit_size != arbitrary_decision(fp).analysis.bit_size)
             bad_decisions.fetch_add(1);
           if (r == FingerprintCache::Lookup::kMiss)
             cache.insert(kKey, fp, block_for(fp).bytes(), arbitrary_decision(fp));
@@ -308,7 +318,7 @@ TEST(FingerprintCache, ConcurrentMixedHitMissTrafficWithVerifyOnHit) {
           if (cache.lookup(kKey, fp, block_for(fp).bytes(), d) != FingerprintCache::Lookup::kHit)
             missed_hot.fetch_add(1);
           else if (d.skip_start != arbitrary_decision(fp).skip_start ||
-                   d.info.final_bits != arbitrary_decision(fp).info.final_bits)
+                   d.analysis.bit_size != arbitrary_decision(fp).analysis.bit_size)
             bad_decisions.fetch_add(1);
         }
       }
@@ -324,19 +334,9 @@ TEST(FingerprintCache, ConcurrentMixedHitMissTrafficWithVerifyOnHit) {
   EXPECT_EQ(c.probes(), c.hits + c.misses);
 }
 
-TEST(FingerprintCache, RuntimeEnabledMatchesEnvironment) {
-  // The CI job that sets SLC_FINGERPRINT_CACHE=0 relies on this mapping to
-  // force the uncached oracle path through the whole suite.
-  const char* v = std::getenv("SLC_FINGERPRINT_CACHE");
-  const std::string s = v ? v : "";
-  const bool disabled = (s == "0" || s == "off" || s == "OFF");
-  EXPECT_EQ(FingerprintCache::runtime_enabled(), !disabled);
-}
-
 // --- SlcCodec-level differential --------------------------------------------
 
 TEST(CachedDecision, CodecKeysIsolateConfigurationsAndModels) {
-  if (!FingerprintCache::runtime_enabled()) GTEST_SKIP() << "cache force-disabled";
   auto cache = std::make_shared<FingerprintCache>();
   const SlcCodec a = make_slc(cache, /*threshold=*/16);
   const SlcCodec b = make_slc(cache, /*threshold=*/4);
@@ -350,16 +350,14 @@ TEST(CachedDecision, CodecKeysIsolateConfigurationsAndModels) {
   ASSERT_NE(c.cache_key(), a.cache_key());
 
   const Block block = test::dedup_corpus({.blocks = 1, .seed = 40})[0];
-  SlcCodec::CacheOutcome oc;
-  ref::slc_decide(a, block.view(), oc);
-  EXPECT_TRUE(oc.probed);
-  EXPECT_FALSE(oc.hit);
-  ref::slc_decide(a, block.view(), oc);
-  EXPECT_TRUE(oc.hit);  // repeat through the same codec hits
-  ref::slc_decide(b, block.view(), oc);
-  EXPECT_FALSE(oc.hit);  // different threshold: separate entry
-  ref::slc_decide(c, block.view(), oc);
-  EXPECT_FALSE(oc.hit);  // different trained model: separate entry
+  const CacheOutcome first = ref::slc_decide(a, block.view()).analysis.cache;
+  EXPECT_TRUE(first.probed);
+  EXPECT_FALSE(first.hit);
+  // A repeat through the same codec hits; a different threshold or trained
+  // model is a separate entry.
+  EXPECT_TRUE(ref::slc_decide(a, block.view()).analysis.cache.hit);
+  EXPECT_FALSE(ref::slc_decide(b, block.view()).analysis.cache.hit);
+  EXPECT_FALSE(ref::slc_decide(c, block.view()).analysis.cache.hit);
 }
 
 TEST(CachedDecision, AnalyzeMatchesUncachedForEveryVariantAndStream) {
@@ -369,23 +367,22 @@ TEST(CachedDecision, AnalyzeMatchesUncachedForEveryVariantAndStream) {
       for (const size_t threshold : {size_t{16}, size_t{4}}) {
         const SlcCodec uncached = make_slc(nullptr, threshold, variant);
         const SlcCodec cached = make_slc(std::make_shared<FingerprintCache>(), threshold, variant);
-        std::vector<SlcEncodeInfo> expected(views.size());
-        uncached.analyze_batch(views, expected.data());
+        SlcCodec::LengthScratch scratch;
+        std::vector<SlcCodec::Decision> expected(views.size());
+        uncached.decide_batch_cached(views, scratch, expected.data());
         // Two passes: pass 0 populates (misses + in-span twins), pass 1 is
         // served from the memo; both must reproduce the oracle exactly.
         for (int pass = 0; pass < 2; ++pass) {
-          std::vector<SlcEncodeInfo> got(views.size());
-          cached.analyze_batch(views, got.data());
+          std::vector<SlcCodec::Decision> got(views.size());
+          cached.decide_batch_cached(views, scratch, got.data());
           for (size_t i = 0; i < views.size(); ++i)
-            expect_info_eq(got[i], expected[i],
+            expect_decision_eq(got[i], expected[i],
                            std::string(cname) + " variant " + to_string(variant) + " thr " +
                                std::to_string(threshold) + " pass " + std::to_string(pass) +
                                " block " + std::to_string(i));
         }
-        if (FingerprintCache::runtime_enabled()) {
-          EXPECT_GE(cached.cache()->counters().hits, views.size())
-              << cname << " second pass should be all hits";
-        }
+        EXPECT_GE(cached.cache()->counters().hits, views.size())
+            << cname << " second pass should be all hits";
       }
     }
   }
@@ -403,12 +400,9 @@ TEST(CachedDecision, DecideCachedMatchesBatchOracleIncludingSkipWindow) {
   for (int pass = 0; pass < 2; ++pass) {
     for (size_t i = 0; i < views.size(); ++i) {
       // One block at a time: decide_batch_cached over a span of one.
-      SlcCodec::CacheOutcome oc;
-      const SlcCodec::Decision got = ref::slc_decide(cached, views[i], oc);
-      const std::string what = "pass " + std::to_string(pass) + " block " + std::to_string(i);
-      expect_info_eq(got.info, expected[i].info, what);
-      EXPECT_EQ(got.skip_start, expected[i].skip_start) << what;
-      EXPECT_EQ(got.skip_count, expected[i].skip_count) << what;
+      const SlcCodec::Decision got = ref::slc_decide(cached, views[i]);
+      expect_decision_eq(got, expected[i],
+                         "pass " + std::to_string(pass) + " block " + std::to_string(i));
     }
   }
 }
@@ -424,14 +418,12 @@ TEST(CachedDecision, EvictionChurnNeverChangesDecisions) {
   auto tiny = std::make_shared<FingerprintCache>(
       FingerprintCache::Config{.capacity = 8, .shards = 1, .verify_on_hit = false});
   const SlcCodec cached = make_slc(tiny);
-  std::vector<SlcEncodeInfo> expected(views.size()), got(views.size());
+  std::vector<BlockAnalysis> expected(views.size()), got(views.size());
   uncached.analyze_batch(views, expected.data());
   cached.analyze_batch(views, got.data());
   for (size_t i = 0; i < views.size(); ++i)
-    expect_info_eq(got[i], expected[i], "block " + std::to_string(i));
-  if (FingerprintCache::runtime_enabled()) {
-    EXPECT_GT(tiny->counters().evictions, 0u) << "stream was sized to churn the cache";
-  }
+    expect_analysis_eq(got[i], expected[i], "block " + std::to_string(i));
+  EXPECT_GT(tiny->counters().evictions, 0u) << "stream was sized to churn the cache";
 }
 
 TEST(CachedDecision, VerifyOnHitModeStaysIdenticalOnNearDuplicates) {
@@ -442,11 +434,11 @@ TEST(CachedDecision, VerifyOnHitModeStaysIdenticalOnNearDuplicates) {
   auto paranoid = std::make_shared<FingerprintCache>(
       FingerprintCache::Config{.capacity = 1024, .shards = 1, .verify_on_hit = true});
   const SlcCodec cached = make_slc(paranoid);
-  std::vector<SlcEncodeInfo> expected(views.size()), got(views.size());
+  std::vector<BlockAnalysis> expected(views.size()), got(views.size());
   uncached.analyze_batch(views, expected.data());
   cached.analyze_batch(views, got.data());
   for (size_t i = 0; i < views.size(); ++i)
-    expect_info_eq(got[i], expected[i], "block " + std::to_string(i));
+    expect_analysis_eq(got[i], expected[i], "block " + std::to_string(i));
   // One-byte neighbours must never verify as each other's content.
   EXPECT_EQ(paranoid->counters().collisions, 0u);
 }
@@ -460,27 +452,19 @@ TEST(BlockCodecDifferential, TslcProcessAndBatchMatchUncached) {
   };
   const Annotation annotations[] = {{false, 16}, {true, 16}, {true, 4}, {true, 64}, {true, 0}};
   for (const auto& [cname, blocks] : fuzz_corpora()) {
-    const auto views = views_of(blocks);
     const auto uncached =
         CodecRegistry::instance().create_block_codec("TSLC-OPT", cached_options(nullptr));
     const auto cached = CodecRegistry::instance().create_block_codec(
         "TSLC-OPT", cached_options(std::make_shared<FingerprintCache>()));
     const auto per_block = ref::per_block_policy(cached);
     for (const auto& [safe, threshold] : annotations) {
-      std::vector<BlockCodecResult> expected(views.size()), got(views.size()),
-          scalar(views.size());
-      uncached->process_batch(views, safe, threshold, expected.data());
-      cached->process_batch(views, safe, threshold, got.data());
+      const PolicyRun expected = run_policy(*uncached, blocks, safe, threshold);
       // The per-block reference over the same cache must agree with both
       // batch kernels.
-      per_block->process_batch(views, safe, threshold, scalar.data());
-      for (size_t i = 0; i < views.size(); ++i) {
-        const std::string what = std::string(cname) + " safe=" + std::to_string(safe) +
-                                 " thr=" + std::to_string(threshold) + " block " +
-                                 std::to_string(i);
-        expect_result_eq(got[i], expected[i], what);
-        expect_result_eq(scalar[i], expected[i], what + " (scalar)");
-      }
+      const std::string what = std::string(cname) + " safe=" + std::to_string(safe) +
+                               " thr=" + std::to_string(threshold);
+      expect_run_eq(run_policy(*cached, blocks, safe, threshold), expected, what);
+      expect_run_eq(run_policy(*per_block, blocks, safe, threshold), expected, what + " (scalar)");
     }
   }
 }
@@ -502,16 +486,11 @@ TEST(BlockCodecDifferential, RegistrySweepEverySchemeCachedVsUncached) {
     const auto cached = CodecRegistry::instance().create_block_codec(
         name, cached_options(std::make_shared<FingerprintCache>()));
     for (const auto& [cname, blocks] : corpora) {
-      const auto views = views_of(blocks);
       for (const auto& [safe, threshold] : annotations) {
-        std::vector<BlockCodecResult> expected(views.size()), got(views.size());
-        uncached->process_batch(views, safe, threshold, expected.data());
-        cached->process_batch(views, safe, threshold, got.data());
-        for (size_t i = 0; i < views.size(); ++i)
-          expect_result_eq(got[i], expected[i],
-                           name + " " + cname + " safe=" + std::to_string(safe) +
-                               " thr=" + std::to_string(threshold) + " block " +
-                               std::to_string(i));
+        expect_run_eq(run_policy(*cached, blocks, safe, threshold),
+                      run_policy(*uncached, blocks, safe, threshold),
+                      name + " " + cname + " safe=" + std::to_string(safe) +
+                          " thr=" + std::to_string(threshold));
       }
     }
   }
@@ -556,16 +535,13 @@ TEST(EngineCache, CommitsMatchUncachedAtEveryThreadCount) {
       EXPECT_EQ(cached.image, reference.image) << cname << " threads=" << threads;
       EXPECT_TRUE(cached.stats.same_decisions(reference.stats))
           << cname << " threads=" << threads;
-      if (FingerprintCache::runtime_enabled()) {
-        EXPECT_EQ(cached.stats.cache.probes(), cached.stats.blocks)
-            << cname << " every committed block must be probed";
-      }
+      EXPECT_EQ(cached.stats.cache.probes(), cached.stats.blocks)
+          << cname << " every committed block must be probed";
     }
   }
 }
 
 TEST(EngineCache, RepeatTrafficHitsTheMemo) {
-  if (!FingerprintCache::runtime_enabled()) GTEST_SKIP() << "cache force-disabled";
   const auto bytes =
       test::corpus_bytes(test::dedup_corpus({.blocks = 128, .seed = 61}));
   auto cache = std::make_shared<FingerprintCache>();
@@ -603,11 +579,9 @@ TEST(EngineCache, AnalyzeStreamFoldsCacheCounters) {
       EXPECT_EQ(a->blocks[i].truncated_symbols, expected.blocks[i].truncated_symbols) << i;
     }
   }
-  EXPECT_EQ(expected.cache.probes(), 0u);  // uncached codec never probes
-  if (FingerprintCache::runtime_enabled()) {
-    EXPECT_EQ(first.cache.probes(), blocks.size());
-    EXPECT_EQ(second.cache.hits, blocks.size());  // the whole stream repeats
-  }
+  EXPECT_EQ(expected.totals.cache.probes(), 0u);  // uncached codec never probes
+  EXPECT_EQ(first.totals.cache.probes(), blocks.size());
+  EXPECT_EQ(second.totals.cache.hits, blocks.size());  // the whole stream repeats
 }
 
 TEST(EngineCache, SharedCacheConcurrentCommitsStayDeterministic) {
@@ -676,15 +650,13 @@ TEST(EngineCache, SharedCacheConcurrentCommitsStayDeterministic) {
     total_blocks += shared_got[t].stats.blocks + unique_got[t].stats.blocks;
     total_probes += shared_got[t].stats.cache.probes() + unique_got[t].stats.cache.probes();
   }
-  if (FingerprintCache::runtime_enabled()) {
-    // No lost updates: every committed block probed exactly once, whichever
-    // worker carried it, and the cache's own tally agrees with the sum of
-    // the per-commit tallies (in-span dedup twins aside, which only the
-    // CommitStats side counts — hence <=).
-    EXPECT_EQ(total_probes, total_blocks);
-    EXPECT_LE(cache->counters().probes(), total_probes);
-    EXPECT_GT(cache->counters().hits, 0u);
-  }
+  // No lost updates: every committed block probed exactly once, whichever
+  // worker carried it, and the cache's own tally agrees with the sum of the
+  // per-commit tallies (in-span dedup twins aside, which only the
+  // CommitStats side counts — hence <=).
+  EXPECT_EQ(total_probes, total_blocks);
+  EXPECT_LE(cache->counters().probes(), total_probes);
+  EXPECT_GT(cache->counters().hits, 0u);
 }
 
 // --- server-level knobs -----------------------------------------------------
@@ -704,7 +676,7 @@ TEST(ServerCache, CachedStreamMatchesUncachedStream) {
   scfg.engine = std::make_shared<CodecEngine>(2);
   CodecServer server(scfg);
   const StreamId u = server.open_stream(tslc_stream("uncached", nullptr));
-  const StreamId c = server.open_stream(tslc_stream("cached", server.engine().fingerprint_cache()));
+  const StreamId c = server.open_stream(tslc_stream("cached", std::make_shared<FingerprintCache>()));
   auto tu = server.submit(u, Request{.bytes = bytes});
   auto tc = server.submit(c, Request{.bytes = bytes});
   const Response ru = tu.wait();
@@ -719,22 +691,22 @@ TEST(ServerCache, CachedStreamMatchesUncachedStream) {
 }
 
 TEST(ServerCache, SharedCacheDedupsAcrossStreams) {
-  if (!FingerprintCache::runtime_enabled()) GTEST_SKIP() << "cache force-disabled";
   const auto bytes =
       test::corpus_bytes(test::dedup_corpus({.blocks = 256, .seed = 82}));
   CodecServer::Config scfg;
   scfg.engine = std::make_shared<CodecEngine>(2);
   CodecServer server(scfg);
-  // Both streams attach the engine's cache.
-  const StreamId a = server.open_stream(tslc_stream("tenant-a", server.engine().fingerprint_cache()));
-  const StreamId b = server.open_stream(tslc_stream("tenant-b", server.engine().fingerprint_cache()));
+  // Both streams attach one cache.
+  const auto shared = std::make_shared<FingerprintCache>();
+  const StreamId a = server.open_stream(tslc_stream("tenant-a", shared));
+  const StreamId b = server.open_stream(tslc_stream("tenant-b", shared));
   server.submit(a, Request{.bytes = bytes}).wait();
   server.submit(b, Request{.bytes = bytes}).wait();
   server.drain();
   const CommitStats sa = server.stream_stats(a).commit;
   const CommitStats sb = server.stream_stats(b).commit;
   EXPECT_EQ(sa.cache.probes(), sa.blocks);
-  // Stream b replays stream a's traffic; with the engine-shared cache (and
+  // Stream b replays stream a's traffic; with the shared cache (and
   // identical codec identity: same trained model, MAG, threshold) it pays
   // zero decision probes' worth of misses.
   EXPECT_EQ(sb.cache.hits, sb.blocks);
@@ -742,7 +714,6 @@ TEST(ServerCache, SharedCacheDedupsAcrossStreams) {
 }
 
 TEST(ServerCache, PrivateCachesIsolateStreams) {
-  if (!FingerprintCache::runtime_enabled()) GTEST_SKIP() << "cache force-disabled";
   const auto bytes =
       test::corpus_bytes(test::dedup_corpus({.blocks = 256, .seed = 83}));  // all-fresh stream
   CodecServer::Config scfg;

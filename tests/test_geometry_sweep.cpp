@@ -70,9 +70,9 @@ TEST_P(SlcGeometryTest, InvariantsAcrossBlockGeometry) {
 
   for (size_t i = 0; i < 256; ++i) {
     const Block b(std::span<const uint8_t>(data).subspan(i * block_bytes, block_bytes));
-    const auto cb = codec.compress(b.view());
-    const Block out = codec.decompress(cb, block_bytes);
-    if (!cb.info.lossy) {
+    const BlockAnalysis a = codec.analyze(b.view());
+    const Block out = codec.decompress(codec.compress(b.view()), block_bytes);
+    if (!a.lossy) {
       EXPECT_EQ(out, b);
       continue;
     }
@@ -81,7 +81,8 @@ TEST_P(SlcGeometryTest, InvariantsAcrossBlockGeometry) {
     for (size_t s = 0; s < n_sym; ++s)
       if (out.symbol(s) != b.symbol(s)) ++diff;
     EXPECT_LE(diff, kMaxApproxSymbols);
-    EXPECT_LE(cb.info.bursts, bursts_for_bits(cb.info.lossless_bits, 32, block_bytes));
+    EXPECT_LE(bursts_for_bits(a.bit_size, 32, block_bytes),
+              bursts_for_bits(a.lossless_bits, 32, block_bytes));
   }
 }
 
@@ -104,14 +105,16 @@ TEST_P(AnalyzeConsistencyTest, AnalyzeMatchesCompress) {
   const SlcCodec codec(e2mc, cfg);
   for (size_t i = 0; i < 256; ++i) {
     const Block b(std::span<const uint8_t>(data).subspan(i * kBlockBytes, kBlockBytes));
-    const SlcEncodeInfo a = codec.analyze(b.view());
-    const auto cb = codec.compress(b.view());
-    EXPECT_EQ(a.lossy, cb.info.lossy);
-    EXPECT_EQ(a.final_bits, cb.info.final_bits);
-    EXPECT_EQ(a.bursts, cb.info.bursts);
-    EXPECT_EQ(a.lossless_bits, cb.info.lossless_bits);
-    EXPECT_EQ(a.truncated_symbols, cb.info.truncated_symbols);
-    EXPECT_EQ(a.stored_uncompressed, cb.info.stored_uncompressed);
+    const BlockAnalysis a = codec.analyze(b.view());
+    const CompressedBlock cb = codec.compress(b.view());
+    EXPECT_EQ(a.bit_size, cb.bit_size);
+    EXPECT_EQ(a.is_compressed, cb.is_compressed);
+    if (a.is_compressed) {
+      EXPECT_LE(a.bit_size, a.lossless_bits);
+    }
+    if (!a.lossy) {
+      EXPECT_EQ(codec.decompress(cb, kBlockBytes), b);
+    }
   }
 }
 

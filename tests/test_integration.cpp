@@ -34,9 +34,9 @@ TEST(Integration, EffectiveRatioBelowRawForAllSchemes) {
   const auto e2mc = train_for("SRAD2");
   const Compressor* schemes[] = {&bdi, &fpc, &cpack, e2mc.get()};
   for (const Compressor* c : schemes) {
-    RatioAccumulator acc(32);
-    for (const Block& b : blocks) acc.add(b.size() * 8, c->compressed_bits(b.view()));
-    EXPECT_LE(acc.effective_ratio(), acc.raw_ratio() + 1e-12) << c->name();
+    CommitStats acc;
+    for (const Block& b : blocks) acc.add(c->analyze(b.view()), b.size(), 32);
+    EXPECT_LE(acc.effective_ratio(32), acc.raw_ratio() + 1e-12) << c->name();
   }
 }
 
@@ -46,10 +46,10 @@ TEST(Integration, E2mcBeatsPatternSchemesOnFloats) {
   const auto blocks = to_blocks(image);
   const auto e2mc = train_for("BS");
   const FpcCompressor fpc;
-  RatioAccumulator acc_e(32), acc_f(32);
+  CommitStats acc_e, acc_f;
   for (const Block& b : blocks) {
-    acc_e.add(b.size() * 8, e2mc->compressed_bits(b.view()));
-    acc_f.add(b.size() * 8, fpc.compressed_bits(b.view()));
+    acc_e.add(e2mc->analyze(b.view()), b.size(), 32);
+    acc_f.add(fpc.analyze(b.view()), b.size(), 32);
   }
   EXPECT_GT(acc_e.raw_ratio(), acc_f.raw_ratio());
 }

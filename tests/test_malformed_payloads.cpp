@@ -1,12 +1,14 @@
 // Malformed payloads: decode is an input boundary (the server serves
-// payloads that clients may hand back), so the E2MC and TSLC-* decoders must
-// reject corrupt input instead of reading past it. A seeded mutation sweep —
-// truncation, bit flips, payloads cut to their header — over real payloads
-// of each scheme: every mutant must decode to a block_bytes block or throw
-// std::invalid_argument. This binary runs under ASan+UBSan in CI, which turns
-// any out-of-bounds read or write the checks miss into a failure.
+// payloads that clients may hand back), so every compressed scheme's decoder
+// must reject corrupt input instead of reading past it. A seeded mutation
+// sweep — every strict truncation, bit flips, payloads cut to their header,
+// and payloads spliced from two schemes — over real payloads of each
+// scheme: every mutant must decode to a block_bytes block or throw
+// std::invalid_argument. This binary runs under ASan+UBSan in CI, which
+// turns any out-of-bounds read or write the checks miss into a failure.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -14,7 +16,7 @@
 #include "common/rng.h"
 #include "compress/codec_registry.h"
 #include "compress/e2mc.h"
-#include "core/slc_compressor.h"
+#include "core/slc_codec.h"
 #include "test_util.h"
 
 namespace slc {
@@ -32,36 +34,68 @@ bool decodes(const Compressor& comp, const CompressedBlock& cb) {
   }
 }
 
-/// Byte-padded header size of a compressed payload of `comp`.
+/// Byte-padded header size of a compressed payload (0 for schemes without
+/// a separate header).
 size_t header_bytes(const Compressor& comp) {
-  if (const auto* slc = dynamic_cast<const SlcCompressor*>(&comp))
-    return (slc->codec().header_bits(kBlockBytes) + 7) / 8;
-  return (dynamic_cast<const E2mcCompressor&>(comp).header_bits(kBlockBytes) + 7) / 8;
+  if (const auto* slc = dynamic_cast<const SlcCodec*>(&comp))
+    return (slc->header_bits(kBlockBytes) + 7) / 8;
+  if (const auto* e2mc = dynamic_cast<const E2mcCompressor*>(&comp))
+    return (e2mc->header_bits(kBlockBytes) + 7) / 8;
+  return 0;
+}
+
+/// Every registry scheme with a payload form: BDI, FPC, C-PACK, E2MC,
+/// Huffman and the three TSLC variants.
+std::vector<std::shared_ptr<const Compressor>> compressed_schemes(
+    std::span<const uint8_t> training) {
+  std::vector<std::shared_ptr<const Compressor>> out;
+  for (const CodecInfo* info : CodecRegistry::instance().entries()) {
+    if (info->make)
+      out.push_back(CodecRegistry::instance().create(info->name, test::test_options(training)));
+  }
+  return out;
+}
+
+/// Value-similar floats (the entropy coders' and SLC's shape) followed by
+/// narrow integers (BDI, FPC and C-PACK's shape).
+std::vector<Block> mixed_corpus() {
+  std::vector<Block> blocks = to_blocks(test::quantized_walk(61, 32));
+  Rng rng(0xB10Cull);
+  for (size_t b = 0; b < 32; ++b) {
+    Block blk;
+    const uint32_t base = static_cast<uint32_t>(rng.next_below(1u << 20));
+    for (size_t w = 0; w < kBlockBytes / 4; ++w)
+      blk.set_word32(w, rng.chance(0.3) ? 0u : base + static_cast<uint32_t>(rng.next_below(64)));
+    blocks.push_back(blk);
+  }
+  return blocks;
 }
 
 TEST(MalformedPayloads, MutantsDecodeOrThrowInvalidArgument) {
   const auto training = test::quantized_walk(31, 256);
-  const auto blocks = to_blocks(test::quantized_walk(61, 48));
+  const auto blocks = mixed_corpus();
   Rng rng(0x5EEDull);
 
-  for (const char* scheme : {"E2MC", "TSLC-SIMP", "TSLC-PRED", "TSLC-OPT"}) {
-    const auto comp = CodecRegistry::instance().create(scheme, test::test_options(training));
+  const auto schemes = compressed_schemes(training);
+  ASSERT_EQ(schemes.size(), 8u);
+  for (const auto& comp : schemes) {
+    const std::string scheme = comp->name();
     const size_t header = header_bytes(*comp);
     size_t compressed = 0, rejected = 0, flips_decoded = 0;
     for (size_t b = 0; b < blocks.size(); ++b) {
-      const std::string what = std::string(scheme) + " block " + std::to_string(b);
+      const std::string what = scheme + " block " + std::to_string(b);
       const CompressedBlock cb = comp->compress(blocks[b].view());
       ASSERT_TRUE(decodes(*comp, cb)) << what << ": an intact payload must decode";
       if (!cb.is_compressed) continue;
       ++compressed;
       ASSERT_GT(cb.payload.size(), header) << what;
 
-      // Every strict truncation loses coded bits of the last way.
-      for (int t = 0; t < 4; ++t) {
+      // Every strict truncation loses coded bits of the block.
+      for (size_t len = 0; len < cb.payload.size(); ++len) {
         CompressedBlock cut = cb;
-        cut.payload.resize(rng.next_below(cb.payload.size()));
+        cut.payload.resize(len);
         const bool ok = decodes(*comp, cut);
-        EXPECT_FALSE(ok) << what << " truncated to " << cut.payload.size() << " bytes";
+        EXPECT_FALSE(ok) << what << " truncated to " << len << " bytes";
         rejected += ok ? 0 : 1;
       }
 
@@ -78,18 +112,48 @@ TEST(MalformedPayloads, MutantsDecodeOrThrowInvalidArgument) {
         rejected += ok ? 0 : 1;
       }
 
-      // A payload marked compressed that holds only its header, or nothing.
-      CompressedBlock header_only = cb;
-      header_only.payload.resize(header);
-      EXPECT_FALSE(decodes(*comp, header_only)) << what << " header-only";
-      CompressedBlock empty = cb;
-      empty.payload.clear();
-      EXPECT_FALSE(decodes(*comp, empty)) << what << " empty";
+      // A payload marked compressed that holds only its header.
+      if (header > 0) {
+        CompressedBlock header_only = cb;
+        header_only.payload.resize(header);
+        EXPECT_FALSE(decodes(*comp, header_only)) << what << " header-only";
+      }
     }
-    EXPECT_GT(compressed, blocks.size() / 2) << scheme << ": corpus must mostly compress";
+    EXPECT_GE(compressed, 8u) << scheme << ": corpus must exercise the compressed path";
     EXPECT_GT(rejected, 0u) << scheme;
     EXPECT_GT(flips_decoded, 0u) << scheme << ": some flips land in code bits and still decode";
   }
+}
+
+// A payload whose front comes from one scheme and whose back comes from
+// another, handed to both decoders: decode or reject, never read past it.
+TEST(MalformedPayloads, CrossSchemeSplicesDecodeOrThrow) {
+  const auto training = test::quantized_walk(31, 256);
+  const auto blocks = mixed_corpus();
+  const auto schemes = compressed_schemes(training);
+  size_t spliced = 0;
+  for (const auto& a : schemes) {
+    for (const auto& b : schemes) {
+      if (a == b) continue;
+      for (size_t i = 0; i < blocks.size(); i += 5) {
+        const CompressedBlock pa = a->compress(blocks[i].view());
+        const CompressedBlock pb = b->compress(blocks[(i + 7) % blocks.size()].view());
+        if (!pa.is_compressed || !pb.is_compressed) continue;
+        CompressedBlock splice;
+        splice.is_compressed = true;
+        splice.payload.assign(pa.payload.begin(),
+                              pa.payload.begin() + static_cast<ptrdiff_t>(pa.payload.size() / 2));
+        splice.payload.insert(splice.payload.end(),
+                              pb.payload.begin() + static_cast<ptrdiff_t>(pb.payload.size() / 2),
+                              pb.payload.end());
+        splice.bit_size = splice.payload.size() * 8;
+        decodes(*a, splice);
+        decodes(*b, splice);
+        ++spliced;
+      }
+    }
+  }
+  EXPECT_GT(spliced, 0u);
 }
 
 // The TSLC header's approximated window (ss + len) is attacker-controlled:

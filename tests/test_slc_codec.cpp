@@ -33,6 +33,16 @@ std::vector<uint8_t> training_data(uint64_t seed, size_t blocks = 1024) {
   return data;
 }
 
+/// One block's Fig. 4 decision and the payload compress() emits for it.
+struct Encoded {
+  SlcCodec::Decision d;
+  CompressedBlock cb;
+};
+
+Encoded encode(const SlcCodec& codec, const Block& b) {
+  return {ref::slc_decide(codec, b.view()), codec.compress(b.view())};
+}
+
 class SlcCodecTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -74,18 +84,18 @@ TEST_F(SlcCodecTest, LossyBlocksFitBudget) {
   size_t lossy_count = 0;
   for (size_t i = 0; i < 512; ++i) {
     const Block b = block(i);
-    const auto cb = codec.compress(b.view());
-    EXPECT_EQ(cb.data.payload, ref::slc_compress(codec, b.view()).data.payload) << "block " << i;
-    if (cb.info.lossy) {
+    const auto [d, cb] = encode(codec, b);
+    EXPECT_EQ(cb.payload, ref::slc_compress(codec, b.view()).payload) << "block " << i;
+    if (d.analysis.lossy) {
       ++lossy_count;
       // The paper's core promise: a lossy block occupies the bit budget —
       // the multiple of MAG below the lossless size (floored at one MAG).
       const size_t budget =
-          std::max(cb.info.lossless_bits / (32 * 8) * (32 * 8), size_t{32 * 8});
-      EXPECT_LE(cb.info.final_bits, budget) << "block " << i;
-      EXPECT_LE(cb.info.bursts, budget / (32 * 8));
+          std::max(d.analysis.lossless_bits / (32 * 8) * (32 * 8), size_t{32 * 8});
+      EXPECT_LE(d.analysis.bit_size, budget) << "block " << i;
+      EXPECT_LE(bursts_for_bits(d.analysis.bit_size, 32), budget / (32 * 8));
       // Fewer bursts than lossless would have needed.
-      EXPECT_LT(cb.info.bursts, bursts_for_bits(cb.info.lossless_bits, 32));
+      EXPECT_LT(bursts_for_bits(d.analysis.bit_size, 32), bursts_for_bits(d.analysis.lossless_bits, 32));
     }
   }
   EXPECT_GT(lossy_count, 0u) << "test data must exercise the lossy path";
@@ -94,8 +104,8 @@ TEST_F(SlcCodecTest, LossyBlocksFitBudget) {
 TEST_F(SlcCodecTest, ThresholdZeroMeansAlwaysLossless) {
   const SlcCodec codec = make(SlcVariant::kOpt, /*threshold=*/0);
   for (size_t i = 0; i < 256; ++i) {
-    const auto cb = codec.compress(block(i).view());
-    EXPECT_FALSE(cb.info.lossy);
+    const auto [d, cb] = encode(codec, block(i));
+    EXPECT_FALSE(d.analysis.lossy);
   }
 }
 
@@ -103,7 +113,7 @@ TEST_F(SlcCodecTest, LosslessRoundTripIsExact) {
   const SlcCodec codec = make(SlcVariant::kOpt, /*threshold=*/0);
   for (size_t i = 0; i < 256; ++i) {
     const Block b = block(i);
-    EXPECT_EQ(codec.roundtrip(b.view()), b) << "block " << i;
+    EXPECT_EQ(codec.decompress(codec.compress(b.view()), kBlockBytes), b) << "block " << i;
   }
 }
 
@@ -111,11 +121,11 @@ TEST_F(SlcCodecTest, LossyOnlyChangesTruncatedSymbols) {
   const SlcCodec codec = make(SlcVariant::kPred);
   for (size_t i = 0; i < 512; ++i) {
     const Block b = block(i);
-    const auto cb = codec.compress(b.view());
-    if (!cb.info.lossy) continue;
+    const auto [d, cb] = encode(codec, b);
+    if (!d.analysis.lossy) continue;
     const Block out = codec.decompress(cb, kBlockBytes);
     // Decode the header to learn the truncated range.
-    BitReader r(cb.data.payload);
+    BitReader r(cb.payload);
     const SlcHeader h = SlcHeader::read(r, kBlockBytes, 4, 64);
     ASSERT_TRUE(h.lossy);
     for (size_t s = 0; s < kSymbolsPerBlock; ++s) {
@@ -132,10 +142,10 @@ TEST_F(SlcCodecTest, SimpFillsZeros) {
   const SlcCodec codec = make(SlcVariant::kSimp);
   for (size_t i = 0; i < 512; ++i) {
     const Block b = block(i);
-    const auto cb = codec.compress(b.view());
-    if (!cb.info.lossy) continue;
+    const auto [d, cb] = encode(codec, b);
+    if (!d.analysis.lossy) continue;
     const Block out = codec.decompress(cb, kBlockBytes);
-    BitReader r(cb.data.payload);
+    BitReader r(cb.payload);
     const SlcHeader h = SlcHeader::read(r, kBlockBytes, 4, 64);
     for (size_t s = h.start_symbol; s < size_t{h.start_symbol} + h.approx_count; ++s)
       EXPECT_EQ(out.symbol(s), 0u);
@@ -152,11 +162,11 @@ TEST_F(SlcCodecTest, PredFillsParityMatchedNeighbour) {
   size_t checked = 0;
   for (size_t i = 0; i < 512 && checked < 10; ++i) {
     const Block b = block(i);
-    const auto cb = codec.compress(b.view());
-    if (!cb.info.lossy) continue;
+    const auto [d, cb] = encode(codec, b);
+    if (!d.analysis.lossy) continue;
     ++checked;
     const Block out = codec.decompress(cb, kBlockBytes);
-    BitReader r(cb.data.payload);
+    BitReader r(cb.payload);
     const SlcHeader h = SlcHeader::read(r, kBlockBytes, 4, 64);
     uint16_t expected[2];
     for (size_t parity = 0; parity < 2; ++parity) {
@@ -188,37 +198,37 @@ TEST_F(SlcCodecTest, UncompressibleStoredRaw) {
   Block b;
   for (size_t i = 0; i < 16; ++i) b.set_word64(i, rng.next());
   const SlcCodec codec = make(SlcVariant::kOpt);
-  const auto cb = codec.compress(b.view());
-  EXPECT_TRUE(cb.info.stored_uncompressed);
-  EXPECT_EQ(cb.info.bursts, 4u);
+  const auto [d, cb] = encode(codec, b);
+  EXPECT_FALSE(d.analysis.is_compressed);
+  EXPECT_EQ(bursts_for_bits(d.analysis.bit_size, 32), 4u);
   EXPECT_EQ(codec.decompress(cb, kBlockBytes), b);
 }
 
 TEST_F(SlcCodecTest, HighlyCompressibleUsesOneBurst) {
   Block b;  // zeros -> far below 32 B -> lossless, one burst (Sec. III-B)
   const SlcCodec codec = make(SlcVariant::kOpt);
-  const auto cb = codec.compress(b.view());
-  EXPECT_FALSE(cb.info.lossy);
-  EXPECT_EQ(cb.info.bursts, 1u);
+  const auto [d, cb] = encode(codec, b);
+  EXPECT_FALSE(d.analysis.lossy);
+  EXPECT_EQ(bursts_for_bits(d.analysis.bit_size, 32), 1u);
   EXPECT_EQ(codec.decompress(cb, kBlockBytes), b);
 }
 
 TEST_F(SlcCodecTest, BurstsNeverExceedLossless) {
   const SlcCodec codec = make(SlcVariant::kOpt);
   for (size_t i = 0; i < 512; ++i) {
-    const auto cb = codec.compress(block(i).view());
-    const size_t lossless_bursts = bursts_for_bits(cb.info.lossless_bits, 32);
-    EXPECT_LE(cb.info.bursts, lossless_bursts);
+    const auto [d, cb] = encode(codec, block(i));
+    const size_t lossless_bursts = bursts_for_bits(d.analysis.lossless_bits, 32);
+    EXPECT_LE(bursts_for_bits(d.analysis.bit_size, 32), lossless_bursts);
   }
 }
 
 TEST_F(SlcCodecTest, TruncatedBitsCoverExtraBits) {
   const SlcCodec codec = make(SlcVariant::kOpt);
   for (size_t i = 0; i < 512; ++i) {
-    const auto cb = codec.compress(block(i).view());
-    if (cb.info.lossy) {
-      EXPECT_GE(cb.info.truncated_bits, cb.info.extra_bits);
-      EXPECT_LE(cb.info.truncated_symbols, kMaxApproxSymbols);
+    const auto [d, cb] = encode(codec, block(i));
+    if (d.analysis.lossy) {
+      EXPECT_GE(d.truncated_bits, d.extra_bits);
+      EXPECT_LE(d.analysis.truncated_symbols, kMaxApproxSymbols);
     }
   }
 }
@@ -248,18 +258,18 @@ TEST_P(SlcSweepTest, LossyAlwaysMagMultiple) {
 
   for (size_t i = 0; i < 256; ++i) {
     const Block b(std::span<const uint8_t>(data).subspan(i * kBlockBytes, kBlockBytes));
-    const auto cb = codec.compress(b.view());
-    if (cb.info.lossy) {
+    const auto [d, cb] = encode(codec, b);
+    if (d.analysis.lossy) {
       const size_t budget =
-          std::max(cb.info.lossless_bits / (mag * 8) * (mag * 8), mag * 8);
-      EXPECT_LE(cb.info.final_bits, budget);
-      EXPECT_LE(cb.info.bursts, budget / (mag * 8));
-      EXPECT_LE(cb.info.extra_bits, threshold * 8);
-      EXPECT_LT(cb.info.bursts, bursts_for_bits(cb.info.lossless_bits, mag));
+          std::max(d.analysis.lossless_bits / (mag * 8) * (mag * 8), mag * 8);
+      EXPECT_LE(d.analysis.bit_size, budget);
+      EXPECT_LE(bursts_for_bits(d.analysis.bit_size, mag), budget / (mag * 8));
+      EXPECT_LE(d.extra_bits, threshold * 8);
+      EXPECT_LT(bursts_for_bits(d.analysis.bit_size, mag), bursts_for_bits(d.analysis.lossless_bits, mag));
     }
     // Decompression must always succeed and leave intact symbols intact.
     const Block out = codec.decompress(cb, kBlockBytes);
-    if (!cb.info.lossy) {
+    if (!d.analysis.lossy) {
       EXPECT_EQ(out, b);
     }
   }

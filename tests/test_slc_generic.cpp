@@ -44,7 +44,7 @@ TEST(SlcFpc, LosslessWhenBelowOneBurst) {
   const SlcFpcCodec codec;
   const auto info = codec.analyze(b.view());
   EXPECT_FALSE(info.lossy);
-  EXPECT_EQ(info.bursts, 1u);
+  EXPECT_EQ(bursts_for_bits(info.bit_size, 32), 1u);
   EXPECT_EQ(codec.roundtrip(b.view()), b);
 }
 
@@ -57,8 +57,8 @@ TEST(SlcFpc, LossyBlocksSaveBursts) {
     const auto info = codec.analyze(b.view());
     if (info.lossy) {
       ++lossy;
-      EXPECT_LT(info.bursts, bursts_for_bits(info.lossless_bits, 32));
-      EXPECT_LE(info.truncated_words, kMaxApproxSymbols);
+      EXPECT_LT(bursts_for_bits(info.bit_size, 32), bursts_for_bits(info.lossless_bits, 32));
+      EXPECT_LE(info.truncated_symbols, kMaxApproxSymbols);
     }
   }
   EXPECT_GT(lossy, 0u) << "mixed-width integer data must exercise the lossy path";
@@ -78,7 +78,7 @@ TEST(SlcFpc, RoundtripOnlyChangesTruncatedWords) {
     size_t diff = 0;
     for (size_t w = 0; w < 32; ++w)
       if (out.view().word32(w) != b.view().word32(w)) ++diff;
-    EXPECT_LE(diff, info.truncated_words);
+    EXPECT_LE(diff, info.truncated_symbols);
   }
 }
 
@@ -138,9 +138,9 @@ TEST_P(SlcFpcMagTest, BurstAccountingAcrossMags) {
   for (int t = 0; t < 1000; ++t) {
     const Block b = narrow_int_block(rng);
     const auto info = codec.analyze(b.view());
-    EXPECT_GE(info.bursts, 1u);
-    EXPECT_LE(info.bursts, kBlockBytes / GetParam());
-    EXPECT_LE(info.final_bits, kBlockBytes * 8);
+    EXPECT_LE(bursts_for_bits(info.bit_size, GetParam()),
+              bursts_for_bits(info.lossless_bits, GetParam()));
+    EXPECT_LE(info.bit_size, kBlockBytes * 8);
   }
 }
 

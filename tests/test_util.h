@@ -108,7 +108,7 @@ inline std::vector<Block> dedup_corpus(const CorpusConfig& cfg) {
 }
 
 /// Flattens a block stream into one byte buffer (region images, server
-/// submits).
+/// submits, BlockCodec::process_batch input).
 inline std::vector<uint8_t> corpus_bytes(std::span<const Block> blocks) {
   std::vector<uint8_t> out;
   out.reserve(blocks.size() * kBlockBytes);
